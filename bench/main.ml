@@ -499,20 +499,14 @@ let superblock_bench () =
   let _, _, arduplane = List.hd (Lazy.force builds) in
   let image = arduplane.F.Build.image in
   let budget = if !quick then 2_000_000 else 20_000_000 in
-  let prep ?(cache = true) ~superblocks ~precompiled () =
+  let prep ?(cache = true) ~superblocks () =
     let cpu = Cpu.create () in
     Cpu.set_decode_cache cpu cache;
     Cpu.set_superblocks cpu superblocks;
     Cpu.load_program cpu image.Image.code;
-    let compiled =
-      if precompiled then
-        Cpu.precompile cpu
-          (Mavr_analysis.Cfg.block_start_words (Mavr_analysis.Cfg.recover image))
-      else 0
-    in
     ignore (Cpu.run_until_halt cpu ~max_cycles:200_000);
     if Cpu.halted cpu <> None then Cpu.reset cpu;
-    (cpu, compiled)
+    cpu
   in
   let measure run_slice cpu =
     let retired, span =
@@ -539,17 +533,12 @@ let superblock_bench () =
       Cpu.step cpu
     done
   in
-  let legacy, legacy_span =
-    measure per_step (fst (prep ~cache:false ~superblocks:false ~precompiled:false ()))
-  in
-  let off, off_span = measure batched (fst (prep ~superblocks:false ~precompiled:false ())) in
-  let on, on_span = measure batched (fst (prep ~superblocks:true ~precompiled:false ())) in
-  let pre_cpu, compiled = prep ~superblocks:true ~precompiled:true () in
-  let pre, pre_span = measure batched pre_cpu in
+  let legacy, legacy_span = measure per_step (prep ~cache:false ~superblocks:false ()) in
+  let off, off_span = measure batched (prep ~superblocks:false ()) in
+  let on, on_span = measure batched (prep ~superblocks:true ()) in
   Printf.printf "  legacy: per-step loop, decode per instruction  : %12.0f insn/s\n" legacy;
   Printf.printf "  off: batched run + predecode cache (PR-5 row)  : %12.0f insn/s\n" off;
   Printf.printf "  on:  superblocks, lazily compiled              : %12.0f insn/s\n" on;
-  Printf.printf "  on:  superblocks, %5d CFG blocks precompiled : %12.0f insn/s\n" compiled pre;
   Printf.printf "  speedup (superblocks / per-step legacy)        : %12.2fx\n" (on /. legacy);
   Printf.printf "  speedup (superblocks / cached stepping)        : %12.2fx\n" (on /. off);
   (* The equivalence contract, re-checked in the measured configuration:
@@ -584,19 +573,15 @@ let superblock_bench () =
        [ ("legacy_insn_per_s", J.Float legacy);
          ("off_insn_per_s", J.Float off);
          ("on_insn_per_s", J.Float on);
-         ("precompiled_insn_per_s", J.Float pre);
-         ("blocks_precompiled", J.Int compiled);
          ("speedup_vs_step", J.Float (on /. legacy));
          ("speedup_vs_cached", J.Float (on /. off));
          ("arch_state_identical", J.Bool identical);
          ("wall_s",
           J.Float
-            (legacy_span.Clock.wall_s +. off_span.Clock.wall_s +. on_span.Clock.wall_s
-            +. pre_span.Clock.wall_s));
+            (legacy_span.Clock.wall_s +. off_span.Clock.wall_s +. on_span.Clock.wall_s));
          ("cpu_s",
           J.Float
-            (legacy_span.Clock.cpu_s +. off_span.Clock.cpu_s +. on_span.Clock.cpu_s
-            +. pre_span.Clock.cpu_s)) ])
+            (legacy_span.Clock.cpu_s +. off_span.Clock.cpu_s +. on_span.Clock.cpu_s)) ])
 
 (* ---------------------------------------------------------------- *)
 (* The PR-2 overhead contract: with no probes attached the CPU hot path
@@ -943,40 +928,29 @@ let resumable_campaign () =
 (* ---------------------------------------------------------------- *)
 (* PR-10: multi-host sharding.  The dispatcher splits the task space
    into cell-aligned shards, drives Service workers (here: in-process
-   serve loops on temp sockets, each running the real shard executor),
-   merges the streamed checkpoint entries and replays them through the
-   campaign join.  The claim carried into the committed artifact is
-   byte-identity with the single-host document — plus what the
-   coordination costs in wall time against two concurrent workers. *)
+   serve loops on temp sockets running the same request handler as
+   `mavr serve`), and merges the streamed checkpoint entries by replay
+   through the campaign runner.  The claim carried into the committed
+   artifact is byte-identity with the single-host document — plus what
+   the coordination costs in wall time against two concurrent workers. *)
 
 let dispatch_bench () =
   section "Dispatch — sharded campaign over serve workers vs single host";
-  let module MC = Mavr_sim.Montecarlo in
-  let module CK = Mavr_campaign.Checkpoint in
+  let module R = Mavr_sim.Request in
   let module D = Mavr_campaign.Dispatch in
-  let module Service = Mavr_campaign.Service in
-  let b = Lazy.force tiny in
-  let profile_name = b.F.Build.profile.F.Profile.name in
-  let trials = if !quick then 12 else 16 in
-  let ms = if !quick then 200 else 500 in
-  let seed = 29 in
-  let single, single_span = Clock.time (fun () -> MC.run ~jobs:1 ~ms ~seed ~trials b) in
-  let single_json = J.to_string (MC.to_json single) in
-  let spec = MC.checkpoint_spec ~ms ~profile:profile_name ~seed ~trials () in
-  let workers = 2 in
-  let shards = D.plan ~tasks:spec.CK.tasks ~block:trials ~shards:workers in
-  let handler req ~progress =
-    let geti k j = Option.bind (J.member k j) J.to_int in
-    match J.member "shard" req with
-    | Some sh -> (
-        match (geti "lo" sh, geti "hi" sh) with
-        | Some lo, Some hi ->
-            let ck = CK.create ~stream:progress spec in
-            MC.run_shard ~jobs:1 ~ms ~checkpoint:ck ~lo ~hi ~seed ~trials b;
-            Ok (J.Obj [ ("entries", J.Int (CK.completed ck)) ])
-        | _ -> Error "bad shard bounds")
-    | None -> Error "no shard in request"
+  let r =
+    { R.default with
+      profile = Result.get_ok (R.profile_of_string "tiny-120");
+      trials = (if !quick then 12 else 16);
+      ms = (if !quick then 200 else 500);
+      layouts = 2;
+      seed = 29 }
   in
+  let document o = J.to_string (J.Obj (R.document r o)) in
+  let single, single_span = Clock.time (fun () -> Result.get_ok (R.run ~jobs:1 r)) in
+  let tasks = (R.checkpoint_spec r).Mavr_campaign.Checkpoint.tasks in
+  let workers = 2 in
+  let shards = D.plan ~tasks ~block:r.trials ~shards:workers in
   let sockets =
     List.init workers (fun i ->
         let path = Filename.temp_file (Printf.sprintf "mavr_bench_disp%d_" i) ".sock" in
@@ -985,47 +959,39 @@ let dispatch_bench () =
   in
   let domains =
     List.map
-      (fun s -> Domain.spawn (fun () -> Service.serve ~socket:s ~max_requests:1 handler))
+      (fun s ->
+        Domain.spawn (fun () ->
+            Mavr_campaign.Service.serve ~socket:s ~max_requests:1 (R.handler ~jobs:1)))
       sockets
   in
-  let request ~lo ~hi = J.Obj [ ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]) ] in
+  let request ~lo ~hi = R.to_json { r with shard = Some { D.lo; hi } } in
   let (merged, outcome), dispatch_span =
     Clock.time (fun () ->
         match
-          D.run ~spec ~request ~block:trials
+          D.run ~spec:(R.checkpoint_spec r) ~request ~block:r.trials
             ~workers:(List.map (fun s -> D.Unix_socket s) sockets)
             ~shards ()
         with
         | Error e -> failwith ("bench: dispatch failed: " ^ D.error_to_string e)
-        | Ok o ->
-            (* merge by replay: prime a fresh checkpoint and let the
-               campaign join emit the document — zero trials execute *)
-            let ck = CK.create spec in
-            List.iter
-              (fun (i, e) ->
-                match e with
-                | CK.Result r -> CK.record ck ~index:i r
-                | CK.Skip reason -> CK.skip ck ~index:i ~reason)
-              o.D.entries;
-            (MC.run ~jobs:1 ~ms ~seed ~trials ~checkpoint:ck b, o))
+        | Ok o -> (Result.get_ok (R.merge ~jobs:1 r o.D.entries), o))
   in
   List.iter (fun d -> ignore (Domain.join d)) domains;
   List.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) sockets;
-  let identical = String.equal single_json (J.to_string (MC.to_json merged)) in
+  let identical = String.equal (document single) (document merged) in
   let entries = List.length outcome.D.entries in
   Printf.printf "  single host (jobs=1)                  : %8.3f s wall (%d tasks)\n"
-    single_span.Clock.wall_s spec.CK.tasks;
+    single_span.Clock.wall_s tasks;
   Printf.printf "  dispatched (%d shards over %d workers) : %8.3f s wall\n" (List.length shards)
     workers dispatch_span.Clock.wall_s;
   Printf.printf
     "  merged entries %d/%d; %d assignment(s), %d worker failure(s), %d heartbeat(s)\n" entries
-    spec.CK.tasks outcome.D.assignments outcome.D.worker_failures outcome.D.heartbeats;
+    tasks outcome.D.assignments outcome.D.worker_failures outcome.D.heartbeats;
   Printf.printf "  byte-identical to single host          : %b\n" identical;
   put "dispatch"
     (J.Obj
-       [ ("trials_per_cell", J.Int trials);
-         ("flight_ms", J.Int ms);
-         ("tasks", J.Int spec.CK.tasks);
+       [ ("trials_per_cell", J.Int r.trials);
+         ("flight_ms", J.Int r.ms);
+         ("tasks", J.Int tasks);
          ("shards", J.Int (List.length shards));
          ("workers", J.Int workers);
          ("single_wall_s", J.Float single_span.Clock.wall_s);
@@ -1178,7 +1144,7 @@ let microbenchmarks () =
 let write_json path =
   let doc =
     J.Obj
-      ([ ("schema", J.String "mavr-bench"); ("pr", J.Int 9); ("quick", J.Bool !quick) ]
+      ([ ("schema", J.String "mavr-bench"); ("quick", J.Bool !quick) ]
       @ List.rev !results)
   in
   let oc = open_out path in

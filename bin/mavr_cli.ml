@@ -14,6 +14,8 @@
      lint       check firmware structural invariants (exit 1 on findings)
      campaign   parallel Monte Carlo evaluation campaign (census + attack grid;
                 --trace/--progress stream a Perfetto trace and live heartbeats)
+     serve      campaign-as-a-service: one JSON request per connection (or --stdio)
+     dispatch   shard a campaign across serve workers and merge the shards
      profile    superblock hot-path profiler: ranked hot blocks with symbols
      tables     print the paper-table reproductions (also in bench/main.exe)
 
@@ -22,35 +24,24 @@
    lint findings, an analyze sub-analysis found a violation — taint findings,
    translation mismatch, stack bound under the dynamic watermark — or a
    campaign found a feasible payload or a takeover under the MAVR defense),
-   2 usage error. *)
+   2 usage error, 3 dispatch failure (a shard stayed unresolved, or the
+   merged frontier failed to re-form the campaign document). *)
 
 open Cmdliner
 module Image = Mavr_obj.Image
 module F = Mavr_firmware
 
-let profile_of_string = function
-  | "arduplane" -> Ok F.Profile.arduplane
-  | "arducopter" -> Ok F.Profile.arducopter
-  | "ardurover" -> Ok F.Profile.ardurover
-  | s -> (
-      (* Accept both the filler-count shorthand ("60") and the canonical
-         name it builds ("tiny-60"), so a profile name round-trips
-         through the serve/dispatch spec protocol. *)
-      let count =
-        if String.starts_with ~prefix:"tiny-" s then
-          String.sub s 5 (String.length s - 5)
-        else s
-      in
-      match int_of_string_opt count with
-      | Some n when n >= 1 -> Ok (F.Profile.tiny ~n ~seed:2024)
-      | _ -> Error (`Msg (Printf.sprintf "unknown profile %S (use arduplane/arducopter/ardurover or a filler count)" s)))
+module Request = Mavr_sim.Request
 
-let profile_conv = Arg.conv (profile_of_string, fun fmt p -> Format.fprintf fmt "%s" p.F.Profile.name)
+let profile_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Request.profile_of_string s)),
+      fun fmt p -> Format.fprintf fmt "%s" p.F.Profile.name )
 
 let profile_arg =
   Arg.(
     value
-    & opt profile_conv (F.Profile.tiny ~n:100 ~seed:2024)
+    & opt profile_conv Request.default.profile
     & info [ "p"; "profile" ] ~docv:"PROFILE"
         ~doc:"Firmware profile: arduplane, arducopter, ardurover, or a filler-function count.")
 
@@ -593,261 +584,26 @@ let faults_conv =
   let print fmt (p : Mavr_fault.Profile.t) = Format.pp_print_string fmt p.Mavr_fault.Profile.name in
   Arg.conv (parse, print)
 
-(* The campaign JSON document, shared between `campaign --json` and the
-   serve handler so a served result byte-matches the CLI's. *)
-let campaign_doc ~profile_name ~seed census grid =
-  let module J = Mavr_telemetry.Json in
-  [
-    ("profile", J.String profile_name);
-    ("seed", J.Int seed);
-    ("census", Mavr_analysis.Survival.to_json census);
-    ("grid", Mavr_sim.Montecarlo.to_json grid);
-  ]
-
-let cmd_campaign =
-  let run profile trials ms layouts seed jobs faults timing no_superblocks trace progress
-      checkpoint_path checkpoint_every resume results early_stop es_z es_min es_batch
-      abort_after json =
-    let module J = Mavr_telemetry.Json in
-    let module Span = Mavr_telemetry.Span in
-    (* The flag flips the default inherited by every CPU the campaign
-       spawns (workers included: the pool re-executes this binary's state
-       per domain task via closures, and freshly created CPUs read the
-       default at [create] time).  The semantic contract — checked by the
-       byte-diff rule in bin/dune — is that the campaign document is
-       identical either way. *)
-    if no_superblocks then Mavr_avr.Cpu.set_superblocks_default false;
-    let b = build_firmware profile F.Profile.mavr in
-    let tracer = Option.map (fun _ -> Mavr_campaign.Clock.tracer ()) trace in
-    match
-      try
-        Ok
-          (match progress with
-          | None -> None
-          | Some "-" -> Some ((fun line -> prerr_endline line), None)
-          | Some path ->
-              let oc = open_out path in
-              Some
-                ( (fun line ->
-                    output_string oc line;
-                    output_char oc '\n';
-                    flush oc),
-                  Some oc ))
-      with Sys_error e -> Error e
-    with
-    | Error e ->
-        Format.eprintf "error: cannot open progress sink: %s@." e;
-        1
-    | Ok progress_sink ->
-    let progress_t =
-      Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
-    in
-    match
-      try
-        Ok
-          (Option.map
-             (fun target ->
-               Mavr_campaign.Early_stop.create ~z:es_z ~min_trials:es_min ~batch:es_batch ~target
-                 ())
-             early_stop)
-      with Invalid_argument m -> Error m
-    with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        2
-    | Ok es ->
-    let spec =
-      Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es ~traced:(trace <> None)
-        ~profile:profile.F.Profile.name ~seed ~trials ()
-    in
-    match
-      (* Per-trial results stream: independent of the snapshot file, so a
-         one-shot run can keep a task-level audit trail without resumability. *)
-      try
-        Ok
-          (match results with
-          | None -> None
-          | Some path ->
-              let oc = open_out path in
-              Some
-                ( (fun line ->
-                    output_string oc line;
-                    output_char oc '\n';
-                    flush oc),
-                  oc ))
-      with Sys_error e -> Error e
-    with
-    | Error e ->
-        Format.eprintf "error: cannot open results sink: %s@." e;
-        1
-    | Ok results_sink ->
-    let stream = Option.map fst results_sink in
-    match
-      match (checkpoint_path, resume) with
-      | None, true -> Error (`Usage "--resume requires --checkpoint")
-      | None, false ->
-          if Option.is_none results_sink && Option.is_none abort_after then Ok None
-          else Ok (Some (Mavr_campaign.Checkpoint.create ?stream ~every:checkpoint_every spec))
-      | Some path, false ->
-          Ok (Some (Mavr_campaign.Checkpoint.create ~path ?stream ~every:checkpoint_every spec))
-      | Some path, true -> (
-          match Mavr_campaign.Checkpoint.resume ~path ?stream ~every:checkpoint_every spec with
-          | Ok t -> Ok (Some t)
-          | Error m -> Error (`Checkpoint m))
-    with
-    | Error (`Usage m) ->
-        Format.eprintf "error: %s@." m;
-        2
-    | Error (`Checkpoint m) ->
-        Format.eprintf "error: checkpoint: %s@." m;
-        2
-    | Ok ck ->
-    Option.iter (fun t -> Option.iter (Mavr_campaign.Checkpoint.abort_after t) abort_after) ck;
-    (* Coordinator lane: the census and grid phases as top-level spans. *)
-    let top_lane = Option.map (fun tr -> Span.lane tr ~sort:(-1) "campaign") tracer in
-    let phase name f = match top_lane with None -> f () | Some l -> Span.span l name f in
-    let pool_stats = ref [||] in
-    match
-      try
-        Ok
-          (Mavr_campaign.Clock.time (fun () ->
-          (* One pool serves both workloads; per-task seeds come from the
-             campaign root, so the output depends only on (--seed, --trials,
-             --layouts, --ms, --faults) — never on --jobs or scheduling. *)
-          Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-              Option.iter
-                (fun p ->
-                  Mavr_campaign.Progress.on_heartbeat p (fun () ->
-                      [
-                        ( "pool",
-                          J.List
-                            (Array.to_list
-                               (Array.map
-                                  (fun (d : Mavr_campaign.Pool.domain_stats) ->
-                                    J.Obj
-                                      [
-                                        ("tasks", J.Int d.Mavr_campaign.Pool.tasks_run);
-                                        ("busy_s", J.Float d.Mavr_campaign.Pool.busy_s);
-                                      ])
-                                  (Mavr_campaign.Pool.stats pool))) );
-                      ]))
-                progress_t;
-              let census =
-                phase "census" (fun () ->
-                    Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed) ~pool
-                      ?tracer ?progress:progress_t ~layouts b.F.Build.image)
-              in
-              let grid =
-                phase "grid" (fun () ->
-                    Mavr_sim.Montecarlo.run ~pool ~ms ~faults ?tracer ?progress:progress_t
-                      ?early_stop:es ?checkpoint:ck ~seed ~trials b)
-              in
-              pool_stats := Mavr_campaign.Pool.stats pool;
-              (census, grid))))
-      with Mavr_campaign.Checkpoint.Corrupt m -> Error m
-    with
-    | Error m ->
-        Format.eprintf "error: checkpoint: %s@." m;
-        2
-    | Ok ((census, grid), span) ->
-    Option.iter Mavr_campaign.Checkpoint.close ck;
-    Option.iter (fun (_, oc) -> close_out oc) results_sink;
-    Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
-    Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
-    (match (trace, tracer) with
-    | Some path, Some tr -> (
-        try
-          let oc = open_out path in
-          output_string oc (J.to_string (Span.to_trace_event tr));
-          output_char oc '\n';
-          close_out oc
-        with Sys_error e -> Format.eprintf "warning: cannot write trace: %s@." e)
-    | _ -> ());
-    (* Per-domain utilization rides under the timing key: opt-in, like
-       every other wall-clock-dependent field, so the default document
-       stays byte-identical for any --jobs. *)
-    let pool_json () =
-      let st = !pool_stats in
-      let busy = Array.fold_left (fun a d -> a +. d.Mavr_campaign.Pool.busy_s) 0.0 st in
-      J.Obj
-        [
-          ( "domains",
-            J.List
-              (Array.to_list
-                 (Array.map
-                    (fun (d : Mavr_campaign.Pool.domain_stats) ->
-                      J.Obj
-                        [
-                          ("tasks", J.Int d.Mavr_campaign.Pool.tasks_run);
-                          ("busy_s", J.Float d.Mavr_campaign.Pool.busy_s);
-                        ])
-                    st)) );
-          ("busy_s", J.Float busy);
-          ("idle_s", J.Float (Float.max 0.0 ((float_of_int (Array.length st) *. span.Mavr_campaign.Clock.wall_s) -. busy)));
-        ]
-    in
-    if json then
-      print_endline
-        (J.to_string ~indent:2
-           (J.Obj
-              (campaign_doc ~profile_name:profile.F.Profile.name ~seed census grid
-              @
-              (* Timing (and the job count that produced it) is opt-in so the
-                 default document is byte-identical for every --jobs value. *)
-              if timing then
-                [
-                  ( "timing",
-                    J.Obj
-                      (("jobs", J.Int (Array.length !pool_stats))
-                      :: Mavr_campaign.Clock.span_to_json_fields span
-                      @ [ ("pool", pool_json ()) ]) );
-                ]
-              else [])))
-    else begin
-      Format.printf "%s: %d-layout census + %d-trial/cell attack grid (root seed %d)@."
-        profile.F.Profile.name census.Mavr_analysis.Survival.layouts grid.Mavr_sim.Montecarlo.trials
-        seed;
-      Format.printf "  %a@." Mavr_analysis.Survival.pp census;
-      Format.printf "%a@." Mavr_sim.Montecarlo.pp grid;
-      if timing then begin
-        Format.printf "completed in %.2f s wall, %.2f s cpu@." span.Mavr_campaign.Clock.wall_s
-          span.Mavr_campaign.Clock.cpu_s;
-        Array.iteri
-          (fun i (d : Mavr_campaign.Pool.domain_stats) ->
-            Format.printf "  domain %d: %d tasks, %.2f s busy@." i d.Mavr_campaign.Pool.tasks_run
-              d.Mavr_campaign.Pool.busy_s)
-          !pool_stats
-      end
-    end;
-    (* The campaign doubles as a defense check: a feasible prebuilt payload
-       in any randomized layout, or any takeover under the MAVR defense,
-       is an operation failure. *)
-    if
-      census.Mavr_analysis.Survival.feasible_layouts > 0
-      || Mavr_sim.Montecarlo.takeovers grid Mavr_sim.Montecarlo.Mavr_defense > 0
-    then 1
-    else 0
-  in
+(* The campaign spec flags, shared by `campaign` and `dispatch`: the
+   defaults are Request.default's, and the same validation runs as on a
+   served request, so a bad value is a usage error (exit 2). *)
+let request_term =
+  let d = Request.default in
   let trials =
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
+    Arg.(value & opt int d.trials & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
   in
   let ms =
-    Arg.(value & opt int 900 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per trial.")
+    Arg.(value & opt int d.ms & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per trial.")
   in
   let layouts =
-    Arg.(value & opt int 10 & info [ "layouts" ] ~docv:"K" ~doc:"Layouts in the survival census.")
+    Arg.(value & opt int d.layouts & info [ "layouts" ] ~docv:"K" ~doc:"Layouts in the survival census.")
   in
   let seed =
-    Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED"
+    Arg.(value & opt int d.seed & info [ "s"; "seed" ] ~docv:"SEED"
            ~doc:"Campaign root seed; every per-trial seed is split from it.")
   in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Worker domains (default: the runtime's recommended count). The output is \
-                 bit-identical for any value, including 1.")
-  in
   let faults =
-    Arg.(value & opt faults_conv Mavr_fault.Profile.none
+    Arg.(value & opt faults_conv d.faults
          & info [ "faults" ] ~docv:"PROFILE"
              ~doc:
                (Printf.sprintf
@@ -855,6 +611,138 @@ let cmd_campaign =
                    once per intensity level, reporting detection and false-alarm rates per \
                    level."
                   (String.concat ", " Mavr_fault.Profile.names)))
+  in
+  let early_stop =
+    Arg.(value & opt (some float) None
+         & info [ "early-stop" ] ~docv:"W"
+             ~doc:"Stop each statistical cell adaptively once the Wilson score interval around \
+                   its detection (or false-alarm) rate has halfwidth at most $(docv) (0 < W < \
+                   1). Trials saved are reported explicitly (per-cell $(b,skipped) counts and \
+                   a top-level $(b,trials_skipped) total); cells that never stop keep \
+                   byte-identical output to a run without this flag.")
+  in
+  let es_z =
+    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
+           ~doc:"Wilson interval critical value (default 1.96, ~95% confidence).")
+  in
+  let es_min =
+    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
+           ~doc:"Never stop a cell before $(docv) trials (default 8).")
+  in
+  let es_batch =
+    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
+           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
+  in
+  let make profile trials ms layouts seed faults early_stop z min_trials batch =
+    match
+      Option.map (fun target -> Mavr_campaign.Early_stop.create ~z ~min_trials ~batch ~target ()) early_stop
+    with
+    | exception Invalid_argument m -> Error m
+    | early_stop ->
+        Request.validate { profile; trials; ms; layouts; seed; faults; early_stop; shard = None }
+  in
+  Term.(
+    term_result' ~usage:true
+      (const make $ profile_arg $ trials $ ms $ layouts $ seed $ faults $ early_stop $ es_z
+     $ es_min $ es_batch))
+
+(* [with_sink ~what path k] runs [k] with a line writer on [path] ("-" is
+   stderr), or [None] without one; exit 1 if the file cannot be opened. *)
+let with_sink ~what path k =
+  match path with
+  | None -> k None
+  | Some "-" -> k (Some prerr_endline)
+  | Some path -> (
+      match open_out path with
+      | exception Sys_error e ->
+          Format.eprintf "error: cannot open %s sink: %s@." what e;
+          1
+      | oc ->
+          Fun.protect
+            ~finally:(fun () -> close_out_noerr oc)
+            (fun () ->
+              k
+                (Some
+                   (fun line ->
+                     output_string oc line;
+                     output_char oc '\n';
+                     flush oc))))
+
+let pp_outcome (o : Request.outcome) =
+  Format.printf "  %a@." Mavr_analysis.Survival.pp o.census;
+  Format.printf "%a@." Mavr_sim.Montecarlo.pp o.grid
+
+let cmd_campaign =
+  let run (r : Request.t) jobs timing no_superblocks trace progress checkpoint_path every
+      resume results abort_after json =
+    let module Ck = Mavr_campaign.Checkpoint in
+    (* The flag flips the default inherited by every CPU the campaign
+       spawns (worker domains included: freshly created CPUs read the
+       default at [create] time).  The semantic contract — checked by the
+       byte-diff rule in bin/dune — is that the document is identical
+       either way. *)
+    if no_superblocks then Mavr_avr.Cpu.set_superblocks_default false;
+    let tracer = Option.map (fun _ -> Mavr_campaign.Clock.tracer ()) trace in
+    with_sink ~what:"progress" progress @@ fun progress_sink ->
+    (* Per-trial results stream: independent of the snapshot file, so a
+       one-shot run can keep a task-level audit trail without resumability. *)
+    with_sink ~what:"results" results @@ fun stream ->
+    let progress = Option.map (fun sink -> Mavr_campaign.Progress.create ~sink ()) progress_sink in
+    let spec = Request.checkpoint_spec ~traced:(trace <> None) r in
+    match
+      match (checkpoint_path, resume) with
+      | None, true -> Error "--resume requires --checkpoint"
+      | None, false when stream = None && abort_after = None -> Ok None
+      | None, false -> Ok (Some (Ck.create ?stream ~every spec))
+      | Some path, false -> Ok (Some (Ck.create ~path ?stream ~every spec))
+      | Some path, true -> (
+          match Ck.resume ~path ?stream ~every spec with
+          | Ok t -> Ok (Some t)
+          | Error m -> Error ("checkpoint: " ^ m))
+    with
+    | Error m ->
+        Format.eprintf "error: %s@." m;
+        2
+    | Ok checkpoint -> (
+        Option.iter (fun t -> Option.iter (Ck.abort_after t) abort_after) checkpoint;
+        match Request.run ?jobs ?tracer ?progress ?checkpoint r with
+        | Error m ->
+            Format.eprintf "error: checkpoint: %s@." m;
+            2
+        | Ok o ->
+            Option.iter Ck.close checkpoint;
+            (match (trace, tracer) with
+            | Some path, Some tr -> (
+                try
+                  let oc = open_out path in
+                  output_string oc
+                    (Mavr_telemetry.Json.to_string (Mavr_telemetry.Span.to_trace_event tr));
+                  output_char oc '\n';
+                  close_out oc
+                with Sys_error e -> Format.eprintf "warning: cannot write trace: %s@." e)
+            | _ -> ());
+            if json then
+              print_endline
+                (Mavr_telemetry.Json.to_string ~indent:2
+                   (Mavr_telemetry.Json.Obj (Request.document ~timing r o)))
+            else begin
+              Format.printf "%s: %d-layout census + %d-trial/cell attack grid (root seed %d)@."
+                r.profile.F.Profile.name o.census.Mavr_analysis.Survival.layouts r.trials r.seed;
+              pp_outcome o;
+              if timing then begin
+                Format.printf "completed in %.2f s wall, %.2f s cpu@." o.span.wall_s o.span.cpu_s;
+                Array.iteri
+                  (fun i (d : Mavr_campaign.Pool.domain_stats) ->
+                    Format.printf "  domain %d: %d tasks, %.2f s busy@." i d.tasks_run d.busy_s)
+                  o.pool
+              end
+            end;
+            Request.exit_status o)
+  in
+  let jobs =
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
+           ~doc:"Worker domains (default: the runtime's recommended count). The output is \
+                 bit-identical for any value, including 1.")
   in
   let timing =
     Arg.(value & flag & info [ "timing" ]
@@ -906,30 +794,10 @@ let cmd_campaign =
   let results =
     Arg.(value & opt (some string) None
          & info [ "results" ] ~docv:"FILE"
-             ~doc:"Stream per-trial results to FILE as JSONL (header, then one line per trial \
-                   outcome as it lands; on $(b,--resume) the already-completed frontier is \
-                   replayed first, so the file always covers every completed trial).")
-  in
-  let early_stop =
-    Arg.(value & opt (some float) None
-         & info [ "early-stop" ] ~docv:"W"
-             ~doc:"Stop each statistical cell adaptively once the Wilson score interval around \
-                   its detection (or false-alarm) rate has halfwidth at most $(docv) (0 < W < \
-                   1). Trials saved are reported explicitly (per-cell $(b,skipped) counts and \
-                   a top-level $(b,trials_skipped) total); cells that never stop keep \
-                   byte-identical output to a run without this flag.")
-  in
-  let es_z =
-    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
-           ~doc:"Wilson interval critical value (default 1.96, ~95% confidence).")
-  in
-  let es_min =
-    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
-           ~doc:"Never stop a cell before $(docv) trials (default 8).")
-  in
-  let es_batch =
-    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
-           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
+             ~doc:"Stream per-trial results to FILE as JSONL ($(b,-) for stderr): header, then \
+                   one line per trial outcome as it lands; on $(b,--resume) the \
+                   already-completed frontier is replayed first, so the file always covers \
+                   every completed trial.")
   in
   let abort_after =
     Arg.(value & opt (some int) None
@@ -947,107 +815,12 @@ let cmd_campaign =
              layout keeps the prebuilt payload feasible or any MAVR-defended trial is taken \
              over (at any fault level).")
     Term.(
-      const run $ profile_arg $ trials $ ms $ layouts $ seed $ jobs $ faults $ timing
-      $ no_superblocks $ trace $ progress $ checkpoint $ checkpoint_every $ resume $ results
-      $ early_stop $ es_z $ es_min $ es_batch $ abort_after $ json_flag)
+      const run $ request_term $ jobs $ timing $ no_superblocks $ trace $ progress $ checkpoint
+      $ checkpoint_every $ resume $ results $ abort_after $ json_flag)
 
 let cmd_serve =
   let run socket stdio max_requests once jobs =
-    let module J = Mavr_telemetry.Json in
-    (* One request = one campaign spec object; unknown fields are ignored,
-       absent ones default exactly like the `campaign` flags, so a served
-       result byte-matches `campaign --json` for the same configuration. *)
-    let handler req ~progress:send =
-      let str k = Option.bind (J.member k req) J.to_str in
-      let int k d = Option.value ~default:d (Option.bind (J.member k req) J.to_int) in
-      match profile_of_string (Option.value ~default:"100" (str "profile")) with
-      | Error (`Msg m) -> Error m
-      | Ok profile -> (
-          let trials = int "trials" 5 in
-          let ms = int "ms" 900 in
-          let layouts = int "layouts" 10 in
-          let seed = int "seed" 0 in
-          match
-            match str "faults" with
-            | None -> Ok Mavr_fault.Profile.none
-            | Some s -> Mavr_fault.Profile.of_string s
-          with
-          | Error m -> Error m
-          | Ok faults -> (
-              let es =
-                Option.bind (J.member "early_stop" req) (fun es_j ->
-                    let f k = Option.bind (J.member k es_j) J.to_float in
-                    let i k = Option.bind (J.member k es_j) J.to_int in
-                    Option.map
-                      (fun target ->
-                        Mavr_campaign.Early_stop.create ?z:(f "z") ?min_trials:(i "min_trials")
-                          ?batch:(i "batch") ~target ())
-                      (f "target_halfwidth"))
-              in
-              let b = build_firmware profile F.Profile.mavr in
-              match J.member "shard" req with
-              | None ->
-                  let progress_t = Mavr_campaign.Progress.create ~sink:send () in
-                  let census, grid =
-                    Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                        let census =
-                          Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed)
-                            ~pool ~progress:progress_t ~layouts b.F.Build.image
-                        in
-                        let grid =
-                          Mavr_sim.Montecarlo.run ~pool ~ms ~faults ~progress:progress_t
-                            ?early_stop:es ~seed ~trials b
-                        in
-                        (census, grid))
-                  in
-                  Mavr_campaign.Progress.emit progress_t ~reason:"final";
-                  Ok (J.Obj (campaign_doc ~profile_name:profile.F.Profile.name ~seed census grid))
-              | Some shard_j -> (
-                  (* Shard request: run only the grid tasks in [lo, hi),
-                     streaming every checkpoint entry line down the
-                     connection (the dispatcher merges them); the census
-                     is the dispatcher's own, deterministic job.  The
-                     checkpoint stream and the progress heartbeats come
-                     from different worker domains under different locks,
-                     so one shared mutex serializes the socket writes. *)
-                  match
-                    ( Option.bind (J.member "lo" shard_j) J.to_int,
-                      Option.bind (J.member "hi" shard_j) J.to_int )
-                  with
-                  | Some lo, Some hi when 0 <= lo && lo <= hi ->
-                      let send_mu = Mutex.create () in
-                      let send_locked line =
-                        Mutex.lock send_mu;
-                        Fun.protect
-                          ~finally:(fun () -> Mutex.unlock send_mu)
-                          (fun () -> send line)
-                      in
-                      let spec =
-                        Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es
-                          ~traced:false ~profile:profile.F.Profile.name ~seed ~trials ()
-                      in
-                      if hi > spec.Mavr_campaign.Checkpoint.tasks then
-                        Error
-                          (Printf.sprintf "shard [%d,%d) outside the %d-task grid" lo hi
-                             spec.Mavr_campaign.Checkpoint.tasks)
-                      else begin
-                        let ck = Mavr_campaign.Checkpoint.create ~stream:send_locked spec in
-                        let progress_t = Mavr_campaign.Progress.create ~sink:send_locked () in
-                        Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                            Mavr_sim.Montecarlo.run_shard ~pool ~ms ~faults
-                              ~progress:progress_t ?early_stop:es ~checkpoint:ck ~lo ~hi ~seed
-                              ~trials b);
-                        Mavr_campaign.Progress.emit progress_t ~reason:"final";
-                        Ok
-                          (J.Obj
-                             [
-                               ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]);
-                               ( "entries",
-                                 J.Int (Mavr_campaign.Checkpoint.completed ck) );
-                             ])
-                      end
-                  | _ -> Error "shard member needs integer lo <= hi")))
-    in
+    let handler = Request.handler ?jobs in
     if stdio then begin
       Mavr_campaign.Service.serve_stdio handler;
       0
@@ -1069,9 +842,9 @@ let cmd_serve =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Listen on a Unix domain socket at $(docv). Each connection sends one \
-                   campaign spec line (JSON: profile, trials, ms, layouts, seed, faults, \
-                   early_stop) and receives streamed progress heartbeat lines followed by one \
-                   terminal line tagged $(b,kind:result) or $(b,kind:error).")
+                   campaign request line (JSON; the request schema is in DESIGN.md) and receives \
+                   streamed progress heartbeat lines followed by one terminal line tagged \
+                   $(b,kind:result) or $(b,kind:error).")
   in
   let stdio =
     Arg.(value & flag & info [ "stdio" ]
@@ -1091,16 +864,16 @@ let cmd_serve =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Campaign-as-a-service: accept campaign specs over a local Unix socket (or \
+       ~doc:"Campaign-as-a-service: accept campaign requests over a local Unix socket (or \
              stdin/stdout with $(b,--stdio)), stream live progress heartbeats, and return the \
-             same JSON document $(b,campaign --json) would print. Sequential: one campaign at \
-             a time owns the worker pool.")
+             same JSON document $(b,campaign --json) would print. A malformed request gets \
+             a $(b,kind:error) line before any work starts. Sequential: one campaign at a \
+             time owns the worker pool.")
     Term.(const run $ socket $ stdio $ max_requests $ once $ jobs)
 
 let cmd_dispatch =
-  let run profile trials ms layouts seed jobs faults workers spawn nshards heartbeat_timeout
-      max_attempts connect_timeout progress early_stop es_z es_min es_batch kill_after json =
-    let module J = Mavr_telemetry.Json in
+  let run (r : Request.t) jobs workers spawn nshards heartbeat_timeout max_attempts
+      connect_timeout progress kill_after json =
     let module D = Mavr_campaign.Dispatch in
     match
       List.fold_left
@@ -1113,7 +886,7 @@ let cmd_dispatch =
         2
     | Ok given_rev ->
     let given = List.rev given_rev in
-    if trials < 1 then begin
+    if r.trials < 1 then begin
       Format.eprintf "error: dispatch needs --trials >= 1@.";
       2
     end
@@ -1130,82 +903,14 @@ let cmd_dispatch =
       2
     end
     else
-      match
-        try
-          Ok
-            (Option.map
-               (fun target ->
-                 Mavr_campaign.Early_stop.create ~z:es_z ~min_trials:es_min ~batch:es_batch
-                   ~target ())
-               early_stop)
-        with Invalid_argument m -> Error m
-      with
-      | Error m ->
-          Format.eprintf "error: %s@." m;
-          2
-      | Ok es ->
-      match
-        try
-          Ok
-            (match progress with
-            | None -> None
-            | Some "-" -> Some ((fun line -> prerr_endline line), None)
-            | Some path ->
-                let oc = open_out path in
-                Some
-                  ( (fun line ->
-                      output_string oc line;
-                      output_char oc '\n';
-                      flush oc),
-                    Some oc ))
-        with Sys_error e -> Error e
-      with
-      | Error e ->
-          Format.eprintf "error: cannot open progress sink: %s@." e;
-          1
-      | Ok progress_sink ->
-      let progress_t =
-        Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
-      in
-      let name = profile.F.Profile.name in
-      let spec =
-        Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es ~traced:false
-          ~profile:name ~seed ~trials ()
-      in
+      with_sink ~what:"progress" progress @@ fun sink ->
+      let progress = Option.map (fun sink -> Mavr_campaign.Progress.create ~sink ()) sink in
+      let spec = Request.checkpoint_spec r in
       let shards =
-        D.plan ~tasks:spec.Mavr_campaign.Checkpoint.tasks ~block:trials
+        D.plan ~tasks:spec.Mavr_campaign.Checkpoint.tasks ~block:r.trials
           ~shards:(match nshards with Some n -> n | None -> spawn + List.length given)
       in
-      (* The request a worker receives is the same spec object `serve`
-         already parses, plus the shard range; field defaults match the
-         `campaign` flags, so spec hashes agree end to end. *)
-      let base_fields =
-        [
-          ("profile", J.String name);
-          ("trials", J.Int trials);
-          ("ms", J.Int ms);
-          ("layouts", J.Int layouts);
-          ("seed", J.Int seed);
-          ("faults", J.String faults.Mavr_fault.Profile.name);
-        ]
-        @
-        match es with
-        | None -> []
-        | Some e ->
-            [
-              ( "early_stop",
-                J.Obj
-                  [
-                    ("target_halfwidth", J.Float (Mavr_campaign.Early_stop.target e));
-                    ("z", J.Float (Mavr_campaign.Early_stop.z e));
-                    ("min_trials", J.Int (Mavr_campaign.Early_stop.min_trials e));
-                    ("batch", J.Int (Mavr_campaign.Early_stop.batch e));
-                  ] );
-            ]
-      in
-      let request ~lo ~hi =
-        J.Obj (base_fields @ [ ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]) ])
-      in
+      let request ~lo ~hi = Request.to_json { r with shard = Some { D.lo; hi } } in
       (* Spawned workers come first in the pool, so worker 0 is always
          the one --kill-worker-after SIGKILLs. *)
       let devnull_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -1249,89 +954,40 @@ let cmd_dispatch =
               spawned)
           (fun () ->
             D.run ~heartbeat_timeout_s:heartbeat_timeout ~max_attempts
-              ~connect_timeout_s:connect_timeout ?progress:progress_t ~on_event ~spec ~request
-              ~block:trials ~workers:workers_addrs ~shards ())
+              ~connect_timeout_s:connect_timeout ?progress ~on_event ~spec ~request
+              ~block:r.trials ~workers:workers_addrs ~shards ())
       in
       match result with
       | Error e ->
           Format.eprintf "error: dispatch: %s@." (D.error_to_string e);
-          Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
           3
       | Ok outcome -> (
-          (* Merge: prime a fresh checkpoint with every shard's entries
-             and run the campaign over it — zero trials execute, the
-             early-stop trajectory replays, and the document comes out of
-             the exact code path `campaign --json` uses. *)
-          let ck = Mavr_campaign.Checkpoint.create spec in
-          List.iter
-            (fun (i, e) ->
-              match e with
-              | Mavr_campaign.Checkpoint.Result r -> Mavr_campaign.Checkpoint.record ck ~index:i r
-              | Mavr_campaign.Checkpoint.Skip reason ->
-                  Mavr_campaign.Checkpoint.skip ck ~index:i ~reason)
-            outcome.D.entries;
-          let b = build_firmware profile F.Profile.mavr in
-          match
-            try
-              Ok
-                (Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                     let census =
-                       Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed)
-                         ~pool ~layouts b.F.Build.image
-                     in
-                     let grid =
-                       Mavr_sim.Montecarlo.run ~pool ~ms ~faults ?early_stop:es ~checkpoint:ck
-                         ~seed ~trials b
-                     in
-                     (census, grid)))
-            with Mavr_campaign.Checkpoint.Corrupt m -> Error m
-          with
+          (* Merge by replay: the document comes out of the exact code
+             path `campaign --json` uses. *)
+          match Request.merge ?jobs r outcome.D.entries with
           | Error m ->
               Format.eprintf "error: dispatch merge: %s@." m;
-              Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
               3
-          | Ok (census, grid) ->
-              Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
-              Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
+          | Ok o ->
+              Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress;
               if json then
                 print_endline
-                  (J.to_string ~indent:2 (J.Obj (campaign_doc ~profile_name:name ~seed census grid)))
+                  (Mavr_telemetry.Json.to_string ~indent:2
+                     (Mavr_telemetry.Json.Obj (Request.document r o)))
               else begin
                 Format.printf
                   "%s: dispatched %d shard(s) over %d worker(s): %d assignment(s), %d worker \
                    failure(s), %d heartbeat(s)@."
-                  name (List.length shards) (List.length workers_addrs) outcome.D.assignments
-                  outcome.D.worker_failures outcome.D.heartbeats;
-                Format.printf "  %a@." Mavr_analysis.Survival.pp census;
-                Format.printf "%a@." Mavr_sim.Montecarlo.pp grid
+                  r.profile.F.Profile.name (List.length shards) (List.length workers_addrs)
+                  outcome.D.assignments outcome.D.worker_failures outcome.D.heartbeats;
+                pp_outcome o
               end;
-              if
-                census.Mavr_analysis.Survival.feasible_layouts > 0
-                || Mavr_sim.Montecarlo.takeovers grid Mavr_sim.Montecarlo.Mavr_defense > 0
-              then 1
-              else 0)
-  in
-  let trials =
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
-  in
-  let ms =
-    Arg.(value & opt int 900 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per trial.")
-  in
-  let layouts =
-    Arg.(value & opt int 10 & info [ "layouts" ] ~docv:"K" ~doc:"Layouts in the survival census.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED"
-           ~doc:"Campaign root seed; every per-trial seed is split from it.")
+              Request.exit_status o)
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
            ~doc:"Worker domains per spawned worker and for the local merge (default: the \
                  runtime's recommended count). The output is bit-identical for any value.")
-  in
-  let faults =
-    Arg.(value & opt faults_conv Mavr_fault.Profile.none
-         & info [ "faults" ] ~docv:"PROFILE" ~doc:"Fault-injection profile, as for campaign.")
   in
   let workers =
     Arg.(value & opt_all string []
@@ -1375,24 +1031,6 @@ let cmd_dispatch =
                    one gap-free sequence over every shard's entries, plus a $(b,dispatch) \
                    detail object (shard/worker/re-dispatch counts).")
   in
-  let early_stop =
-    Arg.(value & opt (some float) None
-         & info [ "early-stop" ] ~docv:"W"
-             ~doc:"Per-cell Wilson-interval early stopping, as for campaign; cell-aligned \
-                   shards keep every stop decision identical to a single-host run.")
-  in
-  let es_z =
-    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
-           ~doc:"Wilson interval critical value (default 1.96).")
-  in
-  let es_min =
-    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
-           ~doc:"Never stop a cell before $(docv) trials (default 8).")
-  in
-  let es_batch =
-    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
-           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
-  in
   let kill_after =
     Arg.(value & opt (some int) None
          & info [ "kill-worker-after" ] ~docv:"N"
@@ -1406,12 +1044,12 @@ let cmd_dispatch =
              space into contiguous cell-aligned shards, stream every worker's checkpoint \
              entries and heartbeats over its socket, survive worker death by re-dispatching \
              the uncompleted range, and merge into the exact document $(b,campaign --json) \
-             prints — byte-identical. Exits like campaign (0/1), 2 on usage, 3 when a shard \
-             stays unresolved.")
+             prints — byte-identical. Cell-aligned shards keep every early-stop decision \
+             identical to a single-host run. Exits like campaign (0/1), 2 on usage, 3 when a \
+             shard stays unresolved.")
     Term.(
-      const run $ profile_arg $ trials $ ms $ layouts $ seed $ jobs $ faults $ workers $ spawn
-      $ nshards $ heartbeat_timeout $ max_attempts $ connect_timeout $ progress $ early_stop
-      $ es_z $ es_min $ es_batch $ kill_after $ json_flag)
+      const run $ request_term $ jobs $ workers $ spawn $ nshards $ heartbeat_timeout
+      $ max_attempts $ connect_timeout $ progress $ kill_after $ json_flag)
 
 let cmd_profile =
   let run profile ms attack top json =

@@ -58,10 +58,6 @@ val reachable_addrs : t -> int list
     superblock engine's dynamic block discovery. *)
 val block_starts : t -> int list
 
-(** {!block_starts} as {e word} addresses — the exact input
-    {!Mavr_avr.Cpu.precompile} expects. *)
-val block_start_words : t -> int list
-
 (** [iter_reachable t f] calls [f addr insn size] in ascending address
     order over every descent-reached instruction. *)
 val iter_reachable : t -> (int -> Mavr_avr.Isa.t -> int -> unit) -> unit

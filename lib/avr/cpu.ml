@@ -2105,20 +2105,6 @@ let sync_caches t =
   sync_icache t;
   sync_blocks t
 
-let precompile t word_pcs =
-  sync_caches t;
-  if not t.use_superblocks then 0
-  else
-    List.fold_left
-      (fun n pc ->
-        if pc >= 0 && pc * 2 < t.program_bytes && Array.get t.blocks pc == dummy_block
-        then begin
-          Array.set t.blocks pc (compile_block t pc);
-          n + 1
-        end
-        else n)
-      0 word_pcs
-
 (* ---- Batched execution ---------------------------------------------- *)
 
 (* Budget clamp: the former [t.cycles + max_cycles] overflowed to a

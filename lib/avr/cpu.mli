@@ -220,13 +220,6 @@ val superblocks_enabled : t -> bool
     scenario layers. *)
 val set_superblocks_default : bool -> unit
 
-(** [precompile t word_pcs] eagerly compiles blocks at the given entry
-    word addresses (e.g. {!Mavr_analysis.Cfg} block starts) instead of
-    discovering them lazily at execution time; returns the number of
-    blocks compiled.  Out-of-range or already-compiled entries are
-    skipped.  No-op (returning 0) when superblocks are disabled. *)
-val precompile : t -> int list -> int
-
 (** {2 Peripherals} *)
 
 (** [uart_send t s] queues bytes for the device to receive. *)

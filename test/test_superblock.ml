@@ -10,7 +10,6 @@ module Isa = Mavr_avr.Isa
 module Io = Mavr_avr.Device.Io
 module Opcode = Mavr_avr.Opcode
 module Image = Mavr_obj.Image
-module Cfg = Mavr_analysis.Cfg
 module Splitmix = Mavr_prng.Splitmix
 module Seu = Mavr_fault.Seu
 module Reflash = Mavr_fault.Reflash
@@ -329,24 +328,6 @@ let test_superblocks_toggle_mid_run () =
   Alcotest.(check bool) "mid-run toggle equivalent" true
     (arch_state toggled = arch_state plain)
 
-(* ---- static precompile hint ----------------------------------------- *)
-
-let test_precompile_from_cfg () =
-  let image = (Helpers.build_mavr ()).image in
-  let cfg = Cfg.recover image in
-  let starts = Cfg.block_start_words cfg in
-  Alcotest.(check bool) "cfg exports block starts" true (List.length starts > 10);
-  let cpu = Cpu.create () in
-  Cpu.load_program cpu image.Image.code;
-  let compiled = Cpu.precompile cpu starts in
-  Alcotest.(check bool) "blocks compiled eagerly" true (compiled > 10);
-  ignore (Cpu.run cpu ~max_cycles:200_000);
-  let lazy_cpu = Cpu.create () in
-  Cpu.load_program lazy_cpu image.Image.code;
-  ignore (Cpu.run lazy_cpu ~max_cycles:200_000);
-  Alcotest.(check bool) "precompiled run identical" true
-    (arch_state cpu = arch_state lazy_cpu)
-
 let () =
   Alcotest.run "superblock"
     [
@@ -376,6 +357,4 @@ let () =
             test_block_tap_counts_partition_retired;
           Alcotest.test_case "engine toggle mid-run" `Quick test_superblocks_toggle_mid_run;
         ] );
-      ( "precompile",
-        [ Alcotest.test_case "cfg block starts" `Quick test_precompile_from_cfg ] );
     ]
