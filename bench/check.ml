@@ -13,15 +13,8 @@ let required =
     [ "table2"; "avg_startup_ms" ];
     [ "effectiveness"; "seeds" ];
     [ "effectiveness"; "succeeded" ];
-    [ "decode_cache"; "cached_insn_per_s" ];
-    [ "decode_cache"; "speedup" ];
-    [ "decode_cache"; "arch_state_identical" ];
-    [ "decode_cache"; "wall_s" ];
-    [ "decode_cache"; "cpu_s" ];
-    [ "superblock"; "legacy_insn_per_s" ];
     [ "superblock"; "off_insn_per_s" ];
     [ "superblock"; "on_insn_per_s" ];
-    [ "superblock"; "speedup_vs_step" ];
     [ "superblock"; "speedup_vs_cached" ];
     [ "superblock"; "arch_state_identical" ];
     [ "superblock"; "wall_s" ];

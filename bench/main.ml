@@ -400,121 +400,31 @@ let randomizability () =
   | Error m -> Printf.printf "  MAVR toolchain: !! %s\n" m
 
 (* ---------------------------------------------------------------- *)
-(* Predecode-cache before/after: the emulator throughput that every
-   §VII replay and per-lifetime randomization sweep is bounded by.     *)
-
-let decode_cache_bench () =
-  section "Decode cache — emulator instructions/second (ArduPlane-profile firmware)";
-  let _, _, arduplane = List.hd (Lazy.force builds) in
-  let image = arduplane.F.Build.image in
-  let prep ~cache =
-    let cpu = Cpu.create () in
-    Cpu.set_decode_cache cpu cache;
-    (* These rows measure per-instruction dispatch; the superblock engine
-       (benched in its own section) would fuse it away. *)
-    Cpu.set_superblocks cpu false;
-    Cpu.load_program cpu image.Image.code;
-    (* Warm up past startup (and, cached, past the first-touch decodes). *)
-    ignore (Cpu.run_until_halt cpu ~max_cycles:200_000);
-    if Cpu.halted cpu <> None then Cpu.reset cpu;
-    cpu
-  in
-  (* The application image eventually faults (that is the point of the
-     paper's recovery loop), so measure across lifetimes: reset on halt
-     and keep retiring instructions until the cycle budget is spent.
-     Reset does not touch flash, so the cached path keeps its decodes. *)
-  let budget = if !quick then 2_000_000 else 20_000_000 in
-  (* Throughput must come from the wall clock: [Sys.time] is process CPU
-     time, which keeps (single-threaded) benchmarks honest by accident but
-     sums across domains — a parallel speedup would read as a slowdown. *)
-  let measure cpu run_slice =
-    let retired, span =
-      Clock.time (fun () ->
-          let spent = ref 0 in
-          let retired = ref 0 in
-          while !spent < budget do
-            let c0 = Cpu.cycles cpu and r0 = Cpu.instructions_retired cpu in
-            run_slice cpu (budget - !spent);
-            spent := !spent + max 1 (Cpu.cycles cpu - c0);
-            retired := !retired + (Cpu.instructions_retired cpu - r0);
-            if Cpu.halted cpu <> None then Cpu.reset cpu
-          done;
-          !retired)
-    in
-    (Clock.rate (float_of_int retired) span, span)
-  in
-  let batched cpu max_cycles = ignore (Cpu.run_until_halt cpu ~max_cycles) in
-  (* The pre-cache dispatch: a driver loop around [Cpu.step], decoding
-     every instruction from flash and re-checking the halt state per
-     step — what [Sim.Scenario]/[Master.supervise] did before the
-     batched API existed. *)
-  let per_step cpu max_cycles =
-    let stop = Cpu.cycles cpu + max_cycles in
-    while Cpu.halted cpu = None && Cpu.cycles cpu < stop do
-      Cpu.step cpu
-    done
-  in
-  let legacy, legacy_span = measure (prep ~cache:false) per_step in
-  let uncached, uncached_span = measure (prep ~cache:false) batched in
-  let cached, cached_span = measure (prep ~cache:true) batched in
-  let wall_s = legacy_span.Clock.wall_s +. uncached_span.Clock.wall_s +. cached_span.Clock.wall_s in
-  let cpu_s = legacy_span.Clock.cpu_s +. uncached_span.Clock.cpu_s +. cached_span.Clock.cpu_s in
-  Printf.printf "  before: per-step loop, decode per instruction : %12.0f insn/s\n" legacy;
-  Printf.printf "  batched run, decode per instruction           : %12.0f insn/s\n" uncached;
-  Printf.printf "  after:  batched run + predecode cache         : %12.0f insn/s\n" cached;
-  Printf.printf "  speedup (after / before)                      : %12.2fx %s\n"
-    (cached /. legacy)
-    (if cached /. legacy >= 2.0 then "(>= 2x target met)" else "(!! below 2x target)");
-  (* The cycle counts feed the paper's §VII overhead numbers: the cached
-     and uncached paths must agree bit-for-bit on architectural state. *)
-  let arch cache =
-    let cpu = Cpu.create () in
-    Cpu.set_decode_cache cpu cache;
-    Cpu.load_program cpu image.Image.code;
-    ignore (Cpu.run_until_halt cpu ~max_cycles:2_000_000);
-    ( Cpu.pc cpu, Cpu.sp cpu, Cpu.sreg cpu, Cpu.cycles cpu, Cpu.instructions_retired cpu,
-      Cpu.halted cpu, List.init 32 (Cpu.reg cpu) )
-  in
-  let identical = arch true = arch false in
-  Printf.printf "  cached/uncached architectural state identical: %b\n" identical;
-  put "decode_cache"
-    (J.Obj
-       [ ("legacy_insn_per_s", J.Float legacy);
-         ("batched_uncached_insn_per_s", J.Float uncached);
-         ("cached_insn_per_s", J.Float cached);
-         ("speedup", J.Float (cached /. legacy));
-         ("arch_state_identical", J.Bool identical);
-         ("wall_s", J.Float wall_s);
-         ("cpu_s", J.Float cpu_s) ])
-
-(* ---------------------------------------------------------------- *)
-(* PR-6: the superblock threaded-code engine on top of the predecode
-   cache — fused superinstruction blocks with per-block cycle/interrupt
-   accounting.  The "off" row is exactly the PR-5 cached configuration,
-   so the speedup reported here is against the decode_cache baseline the
-   check gates reference. *)
+(* PR-6: the superblock threaded-code engine on top of the decode store
+   — fused superinstruction blocks with per-block cycle/interrupt
+   accounting.  The "off" row is exactly the PR-5 cached configuration:
+   batched run, single-stepped from the decode store. *)
 
 let superblock_bench () =
   section "Superblock engine — emulator instructions/second (ArduPlane-profile firmware)";
   let _, _, arduplane = List.hd (Lazy.force builds) in
   let image = arduplane.F.Build.image in
   let budget = if !quick then 2_000_000 else 20_000_000 in
-  let prep ?(cache = true) ~superblocks () =
+  let prep ~superblocks =
     let cpu = Cpu.create () in
-    Cpu.set_decode_cache cpu cache;
     Cpu.set_superblocks cpu superblocks;
     Cpu.load_program cpu image.Image.code;
     ignore (Cpu.run_until_halt cpu ~max_cycles:200_000);
     if Cpu.halted cpu <> None then Cpu.reset cpu;
     cpu
   in
-  let measure run_slice cpu =
+  let measure cpu =
     let retired, span =
       Clock.time (fun () ->
           let spent = ref 0 and retired = ref 0 in
           while !spent < budget do
             let c0 = Cpu.cycles cpu and r0 = Cpu.instructions_retired cpu in
-            run_slice cpu (budget - !spent);
+            ignore (Cpu.run_until_halt cpu ~max_cycles:(budget - !spent));
             spent := !spent + max 1 (Cpu.cycles cpu - c0);
             retired := !retired + (Cpu.instructions_retired cpu - r0);
             if Cpu.halted cpu <> None then Cpu.reset cpu
@@ -523,24 +433,11 @@ let superblock_bench () =
     in
     (Clock.rate (float_of_int retired) span, span)
   in
-  let batched cpu max_cycles = ignore (Cpu.run_until_halt cpu ~max_cycles) in
-  (* The pre-PR-5 dispatch, re-measured in-run so the headline speedup is
-     not a cross-run comparison: a driver loop around [Cpu.step], full
-     decode per instruction (the decode_cache section's "before" row). *)
-  let per_step cpu max_cycles =
-    let stop = Cpu.cycles cpu + max_cycles in
-    while Cpu.halted cpu = None && Cpu.cycles cpu < stop do
-      Cpu.step cpu
-    done
-  in
-  let legacy, legacy_span = measure per_step (prep ~cache:false ~superblocks:false ()) in
-  let off, off_span = measure batched (prep ~superblocks:false ()) in
-  let on, on_span = measure batched (prep ~superblocks:true ()) in
-  Printf.printf "  legacy: per-step loop, decode per instruction  : %12.0f insn/s\n" legacy;
-  Printf.printf "  off: batched run + predecode cache (PR-5 row)  : %12.0f insn/s\n" off;
+  let off, off_span = measure (prep ~superblocks:false) in
+  let on, on_span = measure (prep ~superblocks:true) in
+  Printf.printf "  off: batched run, single-stepped (PR-5 row)    : %12.0f insn/s\n" off;
   Printf.printf "  on:  superblocks, lazily compiled              : %12.0f insn/s\n" on;
-  Printf.printf "  speedup (superblocks / per-step legacy)        : %12.2fx\n" (on /. legacy);
-  Printf.printf "  speedup (superblocks / cached stepping)        : %12.2fx\n" (on /. off);
+  Printf.printf "  speedup (superblocks / single-stepped)         : %12.2fx\n" (on /. off);
   (* The equivalence contract, re-checked in the measured configuration:
      run both engines to the same budget, single-step the laggard onto a
      common cycle count (budget overshoot differs by at most one block),
@@ -570,18 +467,12 @@ let superblock_bench () =
   Printf.printf "  on/off architectural state identical           : %b\n" identical;
   put "superblock"
     (J.Obj
-       [ ("legacy_insn_per_s", J.Float legacy);
-         ("off_insn_per_s", J.Float off);
+       [ ("off_insn_per_s", J.Float off);
          ("on_insn_per_s", J.Float on);
-         ("speedup_vs_step", J.Float (on /. legacy));
          ("speedup_vs_cached", J.Float (on /. off));
          ("arch_state_identical", J.Bool identical);
-         ("wall_s",
-          J.Float
-            (legacy_span.Clock.wall_s +. off_span.Clock.wall_s +. on_span.Clock.wall_s));
-         ("cpu_s",
-          J.Float
-            (legacy_span.Clock.cpu_s +. off_span.Clock.cpu_s +. on_span.Clock.cpu_s)) ])
+         ("wall_s", J.Float (off_span.Clock.wall_s +. on_span.Clock.wall_s));
+         ("cpu_s", J.Float (off_span.Clock.cpu_s +. on_span.Clock.cpu_s)) ])
 
 (* ---------------------------------------------------------------- *)
 (* The PR-2 overhead contract: with no probes attached the CPU hot path
@@ -596,7 +487,6 @@ let telemetry_overhead_bench () =
   let budget = if !quick then 2_000_000 else 20_000_000 in
   let measure ~instrument =
     let cpu = Cpu.create () in
-    Cpu.set_decode_cache cpu true;
     Cpu.load_program cpu image.Image.code;
     let probes =
       if instrument then
@@ -605,7 +495,8 @@ let telemetry_overhead_bench () =
     in
     ignore (Cpu.run_until_halt cpu ~max_cycles:200_000);
     if Cpu.halted cpu <> None then Cpu.reset cpu;
-    (* Wall clock, not [Sys.time]: see the decode-cache section. *)
+    (* Wall clock, not [Sys.time]: process CPU time sums across domains,
+       so a parallel speedup would read as a slowdown. *)
     let retired, span =
       Clock.time (fun () ->
           let spent = ref 0 and retired = ref 0 in
@@ -1174,7 +1065,6 @@ let () =
   randomization_frequency ();
   runtime_defense_ablation ();
   randomizability ();
-  decode_cache_bench ();
   superblock_bench ();
   telemetry_overhead_bench ();
   campaign_scaling ();

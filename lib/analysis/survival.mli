@@ -43,13 +43,8 @@ val payload_feasible :
     63-bit seeds off the root via {!Mavr_campaign.Engine.task_seeds}:
     two censuses with different roots measure disjoint layout samples,
     and none of the seeds collide with the small hand-picked seeds
-    (1, 2, 7, ...) used throughout the tests and examples.
-
-    [Legacy] reproduces the pre-campaign behaviour — layout [i] gets
-    seed [i + 1] — which silently re-ran exactly those hand-picked
-    layouts; it is kept only so the PR-3 EXPERIMENTS numbers remain
-    reproducible bit-for-bit. *)
-type seeding = Legacy | Root of int
+    (1, 2, 7, ...) used throughout the tests and examples. *)
+type seeding = Root of int
 
 type t = {
   layouts : int;  (** number of randomized layouts measured *)

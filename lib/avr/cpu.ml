@@ -47,28 +47,29 @@ type t = {
   mutable interrupts_taken : int;
   mutable tx_cycles_per_byte : int;
   mutable tx_busy_until : int;
-  (* Predecode cache: one entry per word PC.  [icache_words.(pc)] is the
-     instruction length in words (1 or 2), with 0 meaning "not decoded
-     yet"; [icache_insn.(pc)] is only meaningful when the length is
-     non-zero.  Entries are filled on first execution and the whole
-     cache is discarded whenever the flash epoch moves (reflash /
-     bootloader page write), so a freshly randomized lifetime can never
-     dispatch a stale decode. *)
-  mutable icache_insn : Isa.t array;
-  mutable icache_words : int array;
-  mutable icache_epoch : int;
-  mutable use_icache : bool;
-  (* Superblock engine: straight-line runs of instructions fused into
-     closure arrays ([block]), compiled lazily at whatever word address
-     the batched run loop reaches and indexed by entry PC.  Like the
-     predecode cache the whole table is discarded when the flash epoch
-     moves, so reflashes and SEU page writes can never execute stale
-     fused code.  [block_stop] is raised by [io_write] when a guest
-     store re-arms the timer or sets SREG.I mid-block — the two events
-     that can make the remainder of a fused block unsound — and makes
-     the block exit after the current instruction. *)
+  (* Decode store, indexed by word PC and tied to one flash epoch.  The
+     PC can only fetch from flash, and flash changes only through a
+     reflash or a bootloader page write (both bump the epoch), so a
+     decode keyed by epoch is exact.  Two tables share the index:
+
+     - predecoded instructions: [store_words.(pc)] is the instruction
+       length in words (1 or 2), with 0 meaning "not decoded yet";
+       [store_insn.(pc)] is only meaningful when the length is
+       non-zero.  Filled on first execution.
+     - compiled superblocks ([block]): straight-line runs of
+       instructions fused into closure arrays, compiled lazily at
+       whatever word address the batched run loop reaches.
+
+     [sync] drops both together when the flash epoch moves, so a freshly
+     randomized lifetime can never dispatch a stale decode or run stale
+     fused code.  [block_stop] is raised by [io_write] when a guest store
+     re-arms the timer or sets SREG.I mid-block — the two events that
+     can make the remainder of a fused block unsound — and makes the
+     block exit after the current instruction. *)
+  mutable store_insn : Isa.t array;
+  mutable store_words : int array;
   mutable blocks : block array;
-  mutable blocks_epoch : int;
+  mutable store_epoch : int;
   mutable block_keys : int; (* next bi_key to assign *)
   mutable use_superblocks : bool;
   mutable block_stop : bool;
@@ -89,15 +90,13 @@ type t = {
   (* Scratch for the cycle cost of the instruction being executed; a
      field rather than a [ref] so [exec_one] does not allocate. *)
   mutable cyc : int;
-  (* Telemetry taps.  The instruction tap is the only one on the hot
-     path, so it is guarded by a plain bool ([tap_on]) with a no-op
-     closure behind it: when tracing is off the per-instruction cost is
-     one load + one predictable branch, nothing else.  The interrupt and
-     halt taps sit on cold paths and stay options. *)
+  (* Telemetry taps.  The block tap is the only one on the hot path, so
+     it is guarded by a plain bool ([tap_on]) with no-op closures behind
+     it: when tracing is off the per-instruction cost is one load + one
+     predictable branch, nothing else.  The interrupt and halt taps sit
+     on cold paths and stay options. *)
   mutable tap_on : bool;
-  mutable tap_insn : int -> Isa.t -> unit; (* word PC of the insn, decoded insn *)
-  mutable tap_insn_user : bool; (* a user per-insn tap: forces single-stepping *)
-  mutable tap_block_on : bool;
+  mutable tap_step : int -> Isa.t -> unit; (* word PC of the insn, decoded insn *)
   mutable tap_block : block_info -> int -> unit; (* block, instructions executed *)
   mutable tap_irq : (latency:int -> masked:int -> unit) option;
   mutable tap_halt : (halt -> unit) option;
@@ -132,7 +131,7 @@ let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_pcs = [||]; bi_insns = [||]
 let dummy_block =
   { b_info = dummy_block_info; b_entry = (fun _ -> ()); b_cyc_max = 0; b_shadow_sites = 0 }
 
-let no_insn_tap _ _ = ()
+let no_step_tap _ _ = ()
 let no_block_tap _ _ = ()
 
 (* Process-wide default for new CPUs, so harness layers (campaign CLI,
@@ -161,12 +160,10 @@ let create ?(device = Device.atmega2560) () =
     interrupts_taken = 0;
     tx_cycles_per_byte = 0;
     tx_busy_until = 0;
-    icache_insn = [||];
-    icache_words = [||];
-    icache_epoch = -1;
-    use_icache = true;
+    store_insn = [||];
+    store_words = [||];
     blocks = [||];
-    blocks_epoch = -1;
+    store_epoch = -1;
     block_keys = 0;
     use_superblocks = !superblocks_default;
     block_stop = false;
@@ -176,9 +173,7 @@ let create ?(device = Device.atmega2560) () =
     sp_min = max_int;
     cyc = 0;
     tap_on = false;
-    tap_insn = no_insn_tap;
-    tap_insn_user = false;
-    tap_block_on = false;
+    tap_step = no_step_tap;
     tap_block = no_block_tap;
     tap_irq = None;
     tap_halt = None;
@@ -220,48 +215,23 @@ let force_halt t h = set_halt t h
 
 (* ---- Telemetry taps ------------------------------------------------- *)
 
-(* The per-instruction tap and the block tap are mutually exclusive:
-   installing one replaces the other.  A user instruction tap demands
-   per-instruction observation, so the batched loops fall back to
-   single-stepping ([tap_insn_user]); the block tap keeps superblocks on
-   and observes whole blocks, with its [on_step] callback covering the
-   instructions the engine must still execute one at a time (timer-near
-   windows, uncompilable edges).  Either change takes effect at the next
-   block boundary — compiled blocks never embed tap state, so there is
-   no stale fused code to worry about, only the loop's per-iteration
-   mode check. *)
-
-let set_insn_tap t = function
-  | None ->
-      if t.tap_insn_user then begin
-        t.tap_on <- false;
-        t.tap_insn <- no_insn_tap;
-        t.tap_insn_user <- false
-      end
-  | Some f ->
-      t.tap_insn <- f;
-      t.tap_on <- true;
-      t.tap_insn_user <- true;
-      t.tap_block_on <- false;
-      t.tap_block <- no_block_tap
+(* The block tap observes whole superblocks; its [on_step] callback
+   covers every instruction the engine executes one at a time ([step],
+   [run_until], timer-near windows, superblocks disabled).  Installing
+   or clearing it mid-run takes effect at the next block boundary:
+   compiled blocks never embed tap state, so no fused code goes stale. *)
 
 let set_block_tap t ~on_block ~on_step =
   t.tap_block <- on_block;
-  t.tap_block_on <- true;
-  t.tap_insn <- on_step;
-  t.tap_on <- true;
-  t.tap_insn_user <- false
+  t.tap_step <- on_step;
+  t.tap_on <- true
 
 let clear_block_tap t =
-  if not t.tap_insn_user then begin
-    t.tap_on <- false;
-    t.tap_insn <- no_insn_tap
-  end;
-  t.tap_block_on <- false;
+  t.tap_on <- false;
+  t.tap_step <- no_step_tap;
   t.tap_block <- no_block_tap
 
-let insn_tap_active t = t.tap_insn_user
-let block_tap_active t = t.tap_block_on
+let block_tap_active t = t.tap_on
 let set_irq_tap t f = t.tap_irq <- f
 let set_halt_tap t f = t.tap_halt <- f
 
@@ -298,57 +268,57 @@ let load_program t image =
   t.program_bytes <- String.length image;
   reset t
 
-(* ---- Predecode cache ------------------------------------------------ *)
+(* ---- Decode store ---------------------------------------------------- *)
 
-let set_decode_cache t enabled = t.use_icache <- enabled
-let decode_cache_enabled t = t.use_icache
-
-(* Rebuild (or first-build) the cache skeleton for the current flash
-   epoch.  Entries are decoded lazily on first execution: per-lifetime
-   randomized images rarely execute every word, and ROP gadgets enter
-   mid-instruction, so the cache must cover *every* word address rather
-   than just a linear disassembly — lazy fill gives both for free. *)
-let refresh_icache t =
+(* Rebuild (or first-build) both tables for the current flash epoch.
+   Entries are decoded and compiled lazily on first execution:
+   per-lifetime randomized images rarely execute every word, and ROP
+   gadgets enter mid-instruction, so the store must cover *every* word
+   address rather than just a linear disassembly — lazy fill gives both
+   for free. *)
+let refresh t =
   let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.icache_words = nwords then Array.fill t.icache_words 0 nwords 0
+  if Array.length t.store_words = nwords then begin
+    Array.fill t.store_words 0 nwords 0;
+    Array.fill t.blocks 0 nwords dummy_block
+  end
   else begin
-    t.icache_words <- Array.make nwords 0;
-    t.icache_insn <- Array.make nwords Isa.Nop
+    t.store_words <- Array.make nwords 0;
+    t.store_insn <- Array.make nwords Isa.Nop;
+    t.blocks <- Array.make nwords dummy_block
   end;
-  t.icache_epoch <- Memory.flash_epoch t.mem
+  t.store_epoch <- Memory.flash_epoch t.mem
 
 let decode_raw t pc =
   Decode.decode (Memory.flash_word t.mem pc) (Memory.flash_word t.mem (pc + 1))
 
-(* Decode word address [pc] and store it in the cache (in-range [pc]
-   only).  Returns the instruction; the length lands in [icache_words]. *)
+(* Decode word address [pc] and store it (in-range [pc] only).  Returns
+   the instruction; the length lands in [store_words]. *)
 let fill_entry t pc =
   let insn, words = decode_raw t pc in
-  Array.unsafe_set t.icache_insn pc insn;
-  Array.unsafe_set t.icache_words pc words;
+  Array.unsafe_set t.store_insn pc insn;
+  Array.unsafe_set t.store_words pc words;
   insn
 
-(* Re-validate the cache against the flash epoch, so a reflash (the
-   per-lifetime re-randomization path) can never serve stale decodes.
-   Nothing executed by [exec_one] can mutate flash (there is no SPM
-   instruction; reflashes happen host-side between calls), so the public
-   execution entry points sync once instead of paying an epoch compare
-   per instruction. *)
-let sync_icache t =
-  if t.use_icache && t.icache_epoch <> Memory.flash_epoch t.mem then refresh_icache t
+(* Re-validate the store against the flash epoch, so a reflash (the
+   per-lifetime re-randomization path) can never serve stale decodes or
+   fused code.  Nothing the guest executes can mutate flash (there is no
+   SPM instruction; reflashes and SEU page writes happen host-side
+   between calls), so the public execution entry points sync once
+   instead of paying an epoch compare per instruction. *)
+let sync t = if t.store_epoch <> Memory.flash_epoch t.mem then refresh t
 
 (* Fetch the (insn, length-in-words) pair at word address [pc].
-   Precondition: the cache is sync'd ([sync_icache]).  [skip_next] can
-   probe one word past the programmed image; out-of-range addresses fall
-   back to a raw decode, exactly as the uncached path reads erased
-   flash. *)
+   Precondition: the store is sync'd ([sync]).  [skip_next] can probe
+   one word past the programmed image; out-of-range addresses fall back
+   to a raw decode of the erased flash there. *)
 let fetch t pc =
-  if t.use_icache && pc >= 0 && pc < Array.length t.icache_words then begin
-    let words = Array.unsafe_get t.icache_words pc in
-    if words <> 0 then (Array.unsafe_get t.icache_insn pc, words)
+  if pc >= 0 && pc < Array.length t.store_words then begin
+    let words = Array.unsafe_get t.store_words pc in
+    if words <> 0 then (Array.unsafe_get t.store_insn pc, words)
     else
       let insn = fill_entry t pc in
-      (insn, Array.unsafe_get t.icache_words pc)
+      (insn, Array.unsafe_get t.store_words pc)
   end
   else decode_raw t pc
 
@@ -559,7 +529,7 @@ let ptr_access t p ~write =
 
 let skip_next t =
   (* Used by cpse/sbic/sbis/sbrc/sbrs: skip over the next instruction
-     (1 or 2 words), through the predecode cache — the second decode of
+     (1 or 2 words), through the decode store — the second decode of
      the skipped word was pure waste, and the skip distance must agree
      with what would execute at that address. *)
   let _, words = fetch t t.pc in
@@ -611,31 +581,24 @@ let exec_one t =
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
   else begin
         let pc0 = t.pc in
-        (* Inline fetch, split so the cache-hit path allocates nothing
+        (* Inline fetch, split so the hit path allocates nothing
            (building the (insn, words) pair costs a heap block per
            instruction without flambda).  No bounds check: the wild-PC
-           guard above bounds pc0 by program_bytes, and a sync'd cache
+           guard above bounds pc0 by program_bytes, and a sync'd store
            spans exactly (program_bytes + 1) / 2 entries. *)
         let insn =
-          if t.use_icache then begin
-            let words = Array.unsafe_get t.icache_words pc0 in
-            if words <> 0 then begin
-              t.pc <- pc0 + words;
-              Array.unsafe_get t.icache_insn pc0
-            end
-            else begin
-              let insn = fill_entry t pc0 in
-              t.pc <- pc0 + Array.unsafe_get t.icache_words pc0;
-              insn
-            end
+          let words = Array.unsafe_get t.store_words pc0 in
+          if words <> 0 then begin
+            t.pc <- pc0 + words;
+            Array.unsafe_get t.store_insn pc0
           end
           else begin
-            let insn, words = decode_raw t pc0 in
-            t.pc <- pc0 + words;
+            let insn = fill_entry t pc0 in
+            t.pc <- pc0 + Array.unsafe_get t.store_words pc0;
             insn
           end
         in
-        if t.tap_on then t.tap_insn pc0 insn;
+        if t.tap_on then t.tap_step pc0 insn;
         t.retired <- t.retired + 1;
         t.cyc <- 1;
         (match insn with
@@ -905,26 +868,13 @@ let step t =
   match t.halt with
   | Some _ -> ()
   | None ->
-      sync_icache t;
+      sync t;
       exec_one t
 
 (* ---- Superblock threaded-code engine -------------------------------- *)
 
 let set_superblocks t enabled = t.use_superblocks <- enabled
 let superblocks_enabled t = t.use_superblocks
-
-let refresh_blocks t =
-  let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.blocks = nwords then Array.fill t.blocks 0 nwords dummy_block
-  else t.blocks <- Array.make nwords dummy_block;
-  t.blocks_epoch <- Memory.flash_epoch t.mem
-
-(* Same invalidation argument as [sync_icache]: guest execution cannot
-   mutate flash, so the epoch compare happens once per batched entry
-   point, and a reflash or SEU page write between slices drops every
-   compiled block. *)
-let sync_blocks t =
-  if t.use_superblocks && t.blocks_epoch <> Memory.flash_epoch t.mem then refresh_blocks t
 
 (* ---- Trace compiler ------------------------------------------------- *)
 
@@ -2076,7 +2026,7 @@ let get_block t pc =
 let exec_block t b =
   t.block_stop <- false;
   b.b_entry t;
-  if t.tap_block_on then t.tap_block b.b_info t.block_insns
+  if t.tap_on then t.tap_block b.b_info t.block_insns
 
 (* One batched-loop iteration through the superblock engine.  The
    correctness carve-out: with a compare match armed and interrupts
@@ -2087,9 +2037,8 @@ let exec_block t b =
    a block whose worst-case span could cross it is single-stepped
    instead, so a batched run ends at exactly the instruction boundary
    pure stepping would end at — the property that makes campaign
-   documents byte-identical with superblocks on or off.  [exec_one]
-   also serves as the fallback that fires the per-instruction tap when
-   a block tap's [on_step] is installed. *)
+   documents byte-identical with superblocks on or off.  Every
+   [exec_one] fallback fires the block tap's [on_step]. *)
 let block_step t stop =
   if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
@@ -2100,10 +2049,6 @@ let block_step t stop =
     then exec_one t
     else exec_block t b
   end
-
-let sync_caches t =
-  sync_icache t;
-  sync_blocks t
 
 (* ---- Batched execution ---------------------------------------------- *)
 
@@ -2117,14 +2062,8 @@ let sync_caches t =
 let stop_cycle t max_cycles =
   if max_cycles >= max_int - t.cycles then max_int else t.cycles + max_cycles
 
-(* Mode is re-read every iteration, not latched at entry: a tap
-   installed or removed from inside a callback mid-run takes effect at
-   the next block boundary (compiled blocks carry no tap state, so none
-   of the fused code goes stale — the loop just stops using it). *)
-let[@inline] use_blocks t = t.use_superblocks && not t.tap_insn_user
-
 let run t ~max_cycles =
-  sync_caches t;
+  sync t;
   let stop = stop_cycle t max_cycles in
   let rec go () =
     match t.halt with
@@ -2132,33 +2071,21 @@ let run t ~max_cycles =
     | None ->
         if t.cycles >= stop then `Budget_exhausted
         else begin
-          if use_blocks t then block_step t stop else exec_one t;
+          if t.use_superblocks then block_step t stop else exec_one t;
           go ()
         end
   in
   go ()
 
 let run_until_halt t ~max_cycles =
-  sync_caches t;
-  let stop = stop_cycle t max_cycles in
-  let rec go () =
-    match t.halt with
-    | Some h -> Some h
-    | None ->
-        if t.cycles >= stop then None
-        else begin
-          if use_blocks t then block_step t stop else exec_one t;
-          go ()
-        end
-  in
-  go ()
+  match run t ~max_cycles with `Halted h -> Some h | `Budget_exhausted -> None
 
 (* [run_until] single-steps regardless of the superblock switch: the
    predicate is specified to be observed between *instructions* (the
    Fig. 6 stack-progression dumps stop on exact PC values a block
    boundary would never land on). *)
 let run_until t ~max_cycles pred =
-  sync_icache t;
+  sync t;
   let stop = stop_cycle t max_cycles in
   let rec go () =
     match t.halt with

@@ -84,28 +84,13 @@ val force_halt : t -> halt -> unit
 (** {2 Telemetry taps}
 
     Low-level instrumentation hooks the telemetry layer
-    ({!Mavr_avr.Probes}, {!Mavr_avr.Trace}) builds on.  They fire from
-    inside [exec_one], so they compose with the batched {!run} loops and
-    the predecode cache — unlike the retired step-only tracing sidecar.
+    ({!Mavr_avr.Probes}) builds on.  They fire from inside the engine,
+    so they compose with the batched {!run} loops and the decode store.
     With no tap installed the hot path pays a single flag test per
     instruction; the interrupt and halt taps are entirely off the
-    per-instruction path. *)
-
-(** [set_insn_tap t (Some f)] — [f pc insn] fires before each instruction
-    executes, with [pc] the instruction's {e word} address and [insn] its
-    decode (from the predecode cache when enabled).  SP, SREG and the
-    cycle counter still hold their pre-execution values when [f] runs.
-    [None] uninstalls.
-
-    Installing a per-instruction tap forces the batched loops to
-    single-step (fused superblocks batch accounting the tap must
-    observe); installing one displaces any block tap.  Install/remove
-    from inside a tap callback is safe: the engine re-reads the tap
-    state at every block boundary, so the change takes effect at the
-    next boundary and no stale fused code runs. *)
-val set_insn_tap : t -> (int -> Isa.t -> unit) option -> unit
-
-val insn_tap_active : t -> bool
+    per-instruction path.  (The standalone per-instruction tap was
+    removed: the block tap's [on_step] is the per-instruction
+    observation point.) *)
 
 (** Compile-time cap on instructions per fused superblock — the bound on
     [count] in block-tap callbacks and on the batched-run overshoot past
@@ -129,10 +114,13 @@ type block_info = private {
     [on_block info count] fires once {e after} it, with [count] the
     number of instructions actually retired from [info] (< the block
     length when a mid-block exit fired); whenever the engine
-    single-steps instead (interrupt windows, superblocks disabled),
-    [on_step pc insn] fires per instruction exactly like an insn tap.
-    Displaced by {!set_insn_tap}; same boundary semantics for mid-run
-    toggles. *)
+    single-steps instead ({!step}, {!run_until}, interrupt windows,
+    superblocks disabled), [on_step pc insn] fires before the
+    instruction executes, with [pc] its {e word} address, [insn] its
+    decode, and SP, SREG and the cycle counter still at their
+    pre-execution values.  Replaces any block tap already installed.
+    Install/clear from inside a tap callback is safe: the change takes
+    effect at the next block boundary and no stale fused code runs. *)
 val set_block_tap :
   t -> on_block:(block_info -> int -> unit) -> on_step:(int -> Isa.t -> unit) -> unit
 
@@ -159,8 +147,8 @@ val step : t -> unit
 
 (** [run t ~max_cycles] executes batched until halt or until at least
     [max_cycles] cycles have elapsed since the call.  Dispatch goes
-    through fused superblocks when enabled (below), falling back to the
-    predecode cache per instruction.
+    through fused superblocks (below), falling back to single
+    instructions from the decode store.
 
     Budget contract: the budget saturates (a [max_cycles] of [max_int]
     means "run until halt" and never wraps into an instant
@@ -183,19 +171,17 @@ val run_until_halt : t -> max_cycles:int -> halt option
 val run_until :
   t -> max_cycles:int -> (t -> bool) -> [ `Pred | `Halted of halt | `Budget_exhausted ]
 
-(** {2 Predecode cache}
+(** {2 Decode store}
 
-    Flash is decoded at most once per word address per lifetime: decoded
-    instructions are memoized in an array indexed by word PC (covering
-    every word offset, since ROP gadgets enter mid-instruction) and
-    invalidated whenever the flash epoch moves — [load_program] or a
-    bootloader page write — so a freshly randomized image never executes
-    a stale decode.  Enabled by default; the switch exists for the
-    differential tests and before/after benchmarks. *)
-
-val set_decode_cache : t -> bool -> unit
-
-val decode_cache_enabled : t -> bool
+    Flash is decoded at most once per word address per flash epoch:
+    decoded instructions and compiled superblocks are memoized in tables
+    indexed by word PC (covering every word offset, since ROP gadgets
+    enter mid-instruction) and dropped together whenever the flash epoch
+    moves — [load_program] or a bootloader page write — so a freshly
+    randomized image never executes a stale decode.  The PC can only
+    fetch from flash, so the store is exact and always on.  (The
+    decode-cache switch and its uncached decode path were removed;
+    tests check the store against {!Decode.decode} of live flash.) *)
 
 (** {2 Superblock threaded-code engine}
 
@@ -207,9 +193,10 @@ val decode_cache_enabled : t -> bool
     when an enabled timer compare could fire inside its worst-case
     cycle span, and any in-block write that could change that (timer
     re-arm, SREG.I set) exits the block after the writing instruction.
-    Compiled blocks are dropped whenever the flash epoch moves, exactly
-    like the predecode cache, so reflash and SEU page writes never
-    execute stale fused code.  Enabled by default. *)
+    Compiled blocks live in the decode store, so reflash and SEU page
+    writes never execute stale fused code.  Enabled by default;
+    disabling it makes the batched loops single-step, the reference
+    the superblock differential tests compare against. *)
 
 val set_superblocks : t -> bool -> unit
 val superblocks_enabled : t -> bool

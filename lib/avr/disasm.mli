@@ -20,7 +20,7 @@ val sweep : ?pos:int -> ?len:int -> string -> line list
     elements therefore describe {e overlapping} decodings wherever a
     two-word instruction occurs — the complete attacker's view used by the
     mid-instruction gadget scan, and the static cousin of the CPU's
-    per-word predecode cache. *)
+    per-word decode store. *)
 val decode_words : ?pos:int -> ?len:int -> string -> (Isa.t * int) array
 
 (** [listing code ~pos ~len] pretty-prints a region, one instruction per

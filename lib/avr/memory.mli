@@ -41,7 +41,7 @@ val flash_contents : t -> string
 
 (** [flash_epoch t] increments on every flash mutation ({!load_flash} or
     {!flash_write_page}).  Consumers that cache decoded program words
-    (the CPU's predecode cache) compare epochs to detect a reflash —
+    (the CPU's decode store) compare epochs to detect a reflash —
     the per-lifetime re-randomization path — and invalidate. *)
 val flash_epoch : t -> int
 

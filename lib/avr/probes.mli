@@ -1,8 +1,9 @@
 (** Standard CPU telemetry bundle.
 
-    Installs the full instrumentation set on a {!Cpu.t} via the tap
-    hooks, so it composes with the batched run loops and the predecode
-    cache:
+    Installs the full instrumentation set on a {!Cpu.t} via its taps —
+    the block tap (the CPU's only instruction-level tap), the interrupt
+    tap and the halt tap — so it composes with the batched run loops and
+    the decode store:
 
     - instruction-mix counters ([<prefix>.insn.total], [.insn.alu],
       [.insn.call], ... — see {!class_names});
@@ -22,9 +23,10 @@
     under the superblock engine the mix counters are batched per block
     from a memoized class breakdown, and the flight recorder logs one
     event per block (leading mnemonic, entry byte address); whenever the
-    engine single-steps — interrupt windows, superblocks disabled — the
-    same counters advance per instruction and the recorder logs per
-    instruction, so every counter total is identical in both modes.
+    engine single-steps — {!Cpu.step}, interrupt windows, superblocks
+    disabled — the same counters advance per instruction and the
+    recorder logs per instruction, so every counter total is identical
+    in both modes.
 
     The overhead contract: with no probes attached the CPU hot path pays
     one flag test per instruction; attaching costs one tap dispatch per

@@ -8,7 +8,7 @@
     [Cpu.data_poke] (register file and I/O space excluded — upsets hit
     the big arrays, not latched I/O); flash flips rewrite the affected
     page through [Memory.flash_write_page], which bumps the flash epoch
-    and therefore invalidates the predecode cache exactly as a real
+    and therefore invalidates the decode store exactly as a real
     reflash would. *)
 
 type params = {

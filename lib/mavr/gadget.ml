@@ -45,7 +45,7 @@ let scan ?(max_len = 8) img =
   let gadgets = ref [] in
   List.iter
     (fun (start, stop) ->
-      (* Decode at every word offset, the way the CPU's predecode cache
+      (* Decode at every word offset, the way the CPU's decode store
          covers every word address: a ret can be entered not only from
          linear-sweep boundaries but from the middle of any two-word
          instruction, and each such entry is a distinct gadget. *)

@@ -165,7 +165,12 @@ let trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () =
         (match Scenario.master s with Some m -> Master.attacks_detected m | None -> 0);
     }
   in
-  (outcome, registry)
+  (* Return a frozen copy: the live registry's sampled gauges close over
+     the rig (CPU, flash, decode store, compiled blocks), which would
+     otherwise stay reachable until the campaign join. *)
+  let frozen = Metrics.create () in
+  Metrics.merge ~into:frozen registry;
+  (outcome, frozen)
 
 (* ---- checkpoint codec ------------------------------------------------ *)
 

@@ -51,4 +51,40 @@ let telemetry cpu ~cycles =
   let frames = Mavr_mavlink.Parser.feed parser (Cpu.uart_take_tx cpu) in
   (r, frames, Mavr_mavlink.Parser.stats parser)
 
+(* Decode-store oracle: installs a block tap that checks every executed
+   instruction — each single-stepped [on_step] insn and each retired
+   [bi_insns.(i)] of a fused block — against [Decode.decode] of the flash
+   as it is at execution time.  A decode or compiled block that survived
+   a reflash or page write counts as [stale]; [checked] counts the
+   instructions compared, so a vacuous run can be told apart. *)
+type decode_oracle = { mutable checked : int; mutable stale : int; mutable first : string }
+
+let attach_decode_oracle cpu =
+  let o = { checked = 0; stale = 0; first = "" } in
+  let flash pc = Mavr_avr.Memory.flash_word (Cpu.mem cpu) pc in
+  let check pc insn =
+    o.checked <- o.checked + 1;
+    let live, _ = Mavr_avr.Decode.decode (flash pc) (flash (pc + 1)) in
+    if insn <> live then begin
+      if o.stale = 0 then
+        o.first <-
+          Format.asprintf "word 0x%x ran %a, flash holds %a" pc Mavr_avr.Isa.pp insn
+            Mavr_avr.Isa.pp live;
+      o.stale <- o.stale + 1
+    end
+  in
+  Cpu.set_block_tap cpu
+    ~on_block:(fun info count ->
+      for i = 0 to count - 1 do
+        check info.Cpu.bi_pcs.(i) info.Cpu.bi_insns.(i)
+      done)
+    ~on_step:check;
+  o
+
+let decode_oracle_clean o = o.checked > 0 && o.stale = 0
+
+let check_decode_oracle name o =
+  Alcotest.(check bool) (name ^ ": instructions checked") true (o.checked > 0);
+  if o.stale > 0 then Alcotest.failf "%s: %d stale decodes, first: %s" name o.stale o.first
+
 let qtest = QCheck_alcotest.to_alcotest

@@ -76,44 +76,37 @@ let prop_parser_never_raises =
       true)
 
 let prop_decode_cache_differential =
-  (* The predecode cache must be architecturally invisible: random code
-     (dense AVR encodings make random words mostly-valid instructions,
-     with illegal/wild halts mixed in) is stepped in lockstep through a
-     cached and an uncached CPU, diffing the full architectural state
-     after every instruction.  Each round reflashes both CPUs with fresh
-     random code mid-run, so a stale cache surviving the flash epoch
-     bump would be caught as a state divergence. *)
+  (* The decode store must be exact: random code (dense AVR encodings
+     make random words mostly-valid instructions, with illegal/wild
+     halts mixed in) runs through [step] and the batched [run] under a
+     decode oracle that checks every executed instruction against
+     [Decode.decode] of live flash.  Each round reflashes with fresh
+     random code, then rewrites a page mid-run without a reset, so a
+     stale decode or compiled block surviving the flash epoch bump is
+     caught as a mismatch. *)
   QCheck.Test.make ~name:"decode cache differential vs raw decode" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let cached = Cpu.create () in
-      Cpu.set_decode_cache cached true;
-      let raw = Cpu.create () in
-      Cpu.set_decode_cache raw false;
-      let state cpu =
-        ( Cpu.pc cpu, Cpu.sp cpu, Cpu.sreg cpu, Cpu.cycles cpu,
-          Cpu.instructions_retired cpu, Cpu.halted cpu,
-          List.init 32 (Cpu.reg cpu) )
+      let random n = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let cpu = Cpu.create () in
+      let page = (Cpu.device cpu).Mavr_avr.Device.flash_page_bytes in
+      let oracle = Helpers.attach_decode_oracle cpu in
+      let drive () =
+        for i = 1 to 100 do
+          if Cpu.halted cpu = None then
+            if i mod 2 = 0 then Cpu.step cpu else ignore (Cpu.run cpu ~max_cycles:8)
+        done
       in
-      let ok = ref true in
       for _round = 1 to 3 do
-        let code = String.init 512 (fun _ -> Char.chr (Rng.int rng 256)) in
-        Cpu.load_program cached code;
-        Cpu.load_program raw code;
-        (try
-           for _ = 1 to 200 do
-             Cpu.step cached;
-             Cpu.step raw;
-             if state cached <> state raw then begin
-               ok := false;
-               raise Exit
-             end;
-             if Cpu.halted cached <> None then raise Exit
-           done
-         with Exit -> ())
+        Cpu.load_program cpu (random (2 * page));
+        drive ();
+        Mavr_avr.Memory.flash_write_page (Cpu.mem cpu)
+          ~page_addr:(page * Rng.int rng 2) (random page);
+        if Cpu.halted cpu <> None then Cpu.reset cpu;
+        drive ()
       done;
-      !ok && state cached = state raw)
+      Helpers.decode_oracle_clean oracle)
 
 let test_zero_length_param_set_harmless () =
   let b = Helpers.build_mavr () in

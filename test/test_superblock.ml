@@ -266,15 +266,15 @@ let test_tap_removed_from_inside_callback () =
   let reference = load counting_program in
   ignore (Cpu.run reference ~max_cycles:1_000);
   let cpu = load counting_program in
-  let fired = ref 0 in
-  Cpu.set_insn_tap cpu
-    (Some
-       (fun _ _ ->
-         incr fired;
-         if !fired = 5 then Cpu.set_insn_tap cpu None));
+  let blocks = ref 0 in
+  Cpu.set_block_tap cpu
+    ~on_block:(fun _ _ ->
+      incr blocks;
+      if !blocks = 5 then Cpu.clear_block_tap cpu)
+    ~on_step:(fun _ _ -> ());
   ignore (Cpu.run cpu ~max_cycles:1_000);
-  Alcotest.(check int) "tap stopped firing after self-removal" 5 !fired;
-  Alcotest.(check bool) "tap inactive" false (Cpu.insn_tap_active cpu);
+  Alcotest.(check int) "tap stopped firing after self-removal" 5 !blocks;
+  Alcotest.(check bool) "tap inactive" false (Cpu.block_tap_active cpu);
   Alcotest.(check bool) "execution unperturbed" true
     (arch_state cpu = arch_state reference)
 
@@ -282,19 +282,24 @@ let test_tap_installed_from_inside_block_tap () =
   let reference = load counting_program in
   ignore (Cpu.run reference ~max_cycles:1_000);
   let cpu = load counting_program in
-  let blocks = ref 0 and insns = ref 0 in
-  let on_block _info _count =
+  let blocks = ref 0 and first = ref 0 and second = ref 0 in
+  let on_block _info count =
+    first := !first + count;
     incr blocks;
     if !blocks = 2 then
-      (* Switch granularity mid-run, from inside the callback: the insn
-         tap must take over at the next boundary, never re-running or
-         skipping fused code. *)
-      Cpu.set_insn_tap cpu (Some (fun _ _ -> incr insns))
+      (* Swap taps mid-run, from inside the callback: the new tap must
+         take over at the next boundary, never re-running or skipping
+         fused code. *)
+      Cpu.set_block_tap cpu
+        ~on_block:(fun _ count -> second := !second + count)
+        ~on_step:(fun _ _ -> incr second)
   in
-  Cpu.set_block_tap cpu ~on_block ~on_step:(fun _ _ -> ());
+  Cpu.set_block_tap cpu ~on_block ~on_step:(fun _ _ -> incr first);
   ignore (Cpu.run cpu ~max_cycles:1_000);
-  Alcotest.(check int) "block tap fired before the switch" 2 !blocks;
-  Alcotest.(check bool) "insn tap took over" true (!insns > 0);
+  Alcotest.(check int) "first tap fired before the switch" 2 !blocks;
+  Alcotest.(check bool) "second tap took over" true (!second > 0);
+  Alcotest.(check int) "taps partition retirements" (Cpu.instructions_retired cpu)
+    (!first + !second);
   Alcotest.(check bool) "execution unperturbed" true
     (arch_state cpu = arch_state reference)
 
