@@ -11,13 +11,18 @@ exception Parse_error of { line : int; message : string }
 
 (** [encode segments] renders [(base_address, contents)] segments as HEX
     text, 16 data bytes per record, emitting type-04 records whenever the
-    64 KB upper address word changes. *)
+    64 KB upper address word changes.  Linear in the total data size. *)
 val encode : (int * string) list -> string
 
 (** [decode text] parses HEX back into maximal contiguous segments,
-    ascending by address.
+    ascending by address.  Blank lines and surrounding whitespace (CRLF
+    included) are skipped; lines after the EOF record are not read.
+    Linear in the length of [text], plus one stable sort of the data
+    records by address.
     @raise Parse_error on malformed input (bad checksum, bad hex digits,
-    missing EOF record...). *)
+    missing EOF record...), with the 1-based line number; a missing EOF
+    record is reported on the last line, where a trailing newline starts
+    an empty last line. *)
 val decode : string -> (int * string) list
 
 (** [flatten ?fill segments] lays segments into a single string starting

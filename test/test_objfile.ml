@@ -43,6 +43,160 @@ let test_ihex_missing_eof () =
   | _ -> Alcotest.fail "expected missing-EOF error"
   | exception Ihex.Parse_error _ -> ()
 
+(* The original Printf-based encoder, kept as the oracle the buffer
+   encoder must match byte for byte. *)
+module Oracle = struct
+  let record buf ~addr ~rtype data =
+    let len = String.length data in
+    let sum = ref (len + ((addr lsr 8) land 0xFF) + (addr land 0xFF) + rtype) in
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (Printf.sprintf "%02X%04X%02X" len (addr land 0xFFFF) rtype);
+    String.iter
+      (fun c ->
+        sum := !sum + Char.code c;
+        Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c)))
+      data;
+    Buffer.add_string buf (Printf.sprintf "%02X\n" ((0x100 - (!sum land 0xFF)) land 0xFF))
+
+  let encode segments =
+    let buf = Buffer.create 4096 in
+    let upper = ref 0 in
+    let emit_data addr data =
+      let n = String.length data in
+      let pos = ref 0 in
+      while !pos < n do
+        let a = addr + !pos in
+        let hi = a lsr 16 in
+        if hi <> !upper then begin
+          upper := hi;
+          record buf ~addr:0 ~rtype:4
+            (Printf.sprintf "%c%c" (Char.chr ((hi lsr 8) land 0xFF)) (Char.chr (hi land 0xFF)))
+        end;
+        let chunk = min 16 (min (n - !pos) (0x10000 - (a land 0xFFFF))) in
+        record buf ~addr:(a land 0xFFFF) ~rtype:0 (String.sub data !pos chunk);
+        pos := !pos + chunk
+      done
+    in
+    List.iter (fun (addr, data) -> emit_data addr data) segments;
+    record buf ~addr:0 ~rtype:1 "";
+    Buffer.contents buf
+
+  (* One record line (with its newline) of the given type. *)
+  let line ?(addr = 0) ~rtype data =
+    let buf = Buffer.create 64 in
+    record buf ~addr ~rtype data;
+    Buffer.contents buf
+end
+
+(* A record line from raw bytes, with a correct checksum, so that the
+   length field can disagree with the byte count. *)
+let raw_line bytes =
+  let sum = List.fold_left ( + ) 0 bytes in
+  ":" ^ String.concat "" (List.map (Printf.sprintf "%02X") bytes)
+  ^ Printf.sprintf "%02X\n" ((0x100 - (sum land 0xFF)) land 0xFF)
+
+let eof = Oracle.line ~rtype:1 ""
+let data_line = Oracle.line ~addr:0x10 ~rtype:0 "AB"
+
+(* Segment sets with adjacent, gapped and 64 KB-crossing neighbours, in
+   ascending order, optionally preceded by a MAVR metadata blob. *)
+let gen_segments =
+  let open QCheck.Gen in
+  let gap = oneof [ return 0; int_range 1 40; int_range 1000 70_000 ] in
+  let start = oneof [ int_bound 300; map (fun d -> 0x10000 - d) (int_range 1 40) ] in
+  let payload = string_size ~gen:char (int_range 1 300) in
+  let* meta = opt (string_size ~gen:char (int_range 1 200)) in
+  let* base = start in
+  let* parts = list_size (int_range 1 6) (pair gap payload) in
+  let _, segs =
+    List.fold_left
+      (fun (at, acc) (g, d) -> (at + g + String.length d, (at + g, d) :: acc))
+      (base, []) parts
+  in
+  let segs = List.rev segs in
+  return (match meta with Some m -> (Symtab.meta_base, m) :: segs | None -> segs)
+
+let arb_segments =
+  QCheck.make gen_segments ~print:(fun segs ->
+      String.concat "; "
+        (List.map (fun (a, d) -> Printf.sprintf "0x%x+%d" a (String.length d)) segs))
+
+let prop_encode_matches_oracle =
+  QCheck.Test.make ~name:"encode is byte-identical to the Printf oracle" ~count:200
+    arb_segments (fun segs -> Ihex.encode segs = Oracle.encode segs)
+
+(* Sorted by address, with segments that touch joined. *)
+let maximal segs =
+  List.sort (fun (a, _) (b, _) -> compare a b) segs
+  |> List.fold_left
+       (fun acc (a, d) ->
+         match acc with
+         | (pa, pd) :: rest when pa + String.length pd = a -> (pa, pd ^ d) :: rest
+         | _ -> (a, d) :: acc)
+       []
+  |> List.rev
+
+let prop_decode_maximal =
+  QCheck.Test.make ~name:"decode (encode segs) is the maximal merged segments" ~count:200
+    arb_segments (fun segs -> Ihex.decode (Ihex.encode segs) = maximal segs)
+
+let expect_error name text ~line ~message =
+  match Ihex.decode text with
+  | _ -> Alcotest.failf "%s: expected Parse_error" name
+  | exception Ihex.Parse_error e ->
+      Alcotest.(check (pair int string)) name (line, message) (e.line, e.message)
+
+let test_ihex_malformed () =
+  let bad_digit = String.mapi (fun i c -> if i = 9 then 'G' else c) data_line in
+  expect_error "bad digit" (bad_digit ^ eof) ~line:1 ~message:"bad hex digit 'G'";
+  let both = String.mapi (fun i c -> if i = 9 then 'G' else if i = 10 then 'z' else c) data_line in
+  expect_error "bad digit, both nibbles" ("\n" ^ both ^ eof) ~line:2 ~message:"bad hex digit 'z'";
+  expect_error "no colon" ("0100000041BE\n" ^ eof) ~line:1 ~message:"record does not start with ':'";
+  expect_error "odd length" (":0100000041B\n" ^ eof) ~line:1 ~message:"odd hex length";
+  expect_error "too short" (":00000001\n" ^ eof) ~line:1 ~message:"record too short";
+  expect_error "too short beats bad digit" (":0000GG01\n") ~line:1 ~message:"record too short";
+  let bad_sum = String.mapi (fun i c -> if i = 10 then (if c = '0' then '1' else '0') else c) data_line in
+  expect_error "checksum" (data_line ^ bad_sum ^ eof) ~line:2 ~message:"checksum mismatch";
+  expect_error "length mismatch" (raw_line [ 2; 0; 0; 0; 0x41 ] ^ eof) ~line:1
+    ~message:"length field mismatch";
+  (* Longer than any valid record: still checked digit by digit first. *)
+  let long = raw_line (0x10 :: List.init 299 (fun _ -> 0)) in
+  expect_error "overlong record" (long ^ eof) ~line:1 ~message:"length field mismatch";
+  let long_bad = String.mapi (fun i c -> if i = 590 then 'x' else c) long in
+  expect_error "overlong record, bad digit" (long_bad ^ eof) ~line:1
+    ~message:"bad hex digit 'x'";
+  List.iter
+    (fun rtype ->
+      expect_error
+        (Printf.sprintf "type %d" rtype)
+        (data_line ^ "\n" ^ Oracle.line ~rtype "\x10\x00\x00\x00" ^ eof)
+        ~line:3
+        ~message:(Printf.sprintf "unsupported record type %d" rtype))
+    [ 2; 3; 5 ];
+  expect_error "unknown type" (Oracle.line ~rtype:6 "" ^ eof) ~line:1
+    ~message:"unknown record type 6";
+  expect_error "type 4 length" (Oracle.line ~rtype:4 "\x00" ^ eof) ~line:1
+    ~message:"type-04 record must have 2 data bytes";
+  (* The missing-EOF line is the line count, so a trailing newline adds one. *)
+  let no_newline = String.sub data_line 0 (String.length data_line - 1) in
+  expect_error "missing EOF, no newline" no_newline ~line:1 ~message:"missing end-of-file record";
+  expect_error "missing EOF, trailing newline" data_line ~line:2
+    ~message:"missing end-of-file record";
+  expect_error "missing EOF, blank tail" (data_line ^ "\n\n") ~line:4
+    ~message:"missing end-of-file record";
+  expect_error "missing EOF, empty text" "" ~line:1 ~message:"missing end-of-file record"
+
+let test_ihex_lenient_layout () =
+  let expected = [ (0x10, "AB") ] in
+  let crlf s = String.concat "\r\n" (String.split_on_char '\n' s) in
+  Alcotest.(check (list (pair int string))) "CRLF" expected (Ihex.decode (crlf (data_line ^ eof)));
+  Alcotest.(check (list (pair int string))) "blank and padded lines" expected
+    (Ihex.decode ("\n  \t\n  " ^ data_line ^ "\n\n" ^ eof));
+  Alcotest.(check (list (pair int string))) "EOF without newline" expected
+    (Ihex.decode (data_line ^ String.sub eof 0 (String.length eof - 1)));
+  Alcotest.(check (list (pair int string))) "lines after EOF ignored" expected
+    (Ihex.decode (data_line ^ eof ^ "garbage\n:GG\n" ^ Oracle.line ~rtype:0 "CD"))
+
 let test_ihex_flatten () =
   let flat = Ihex.flatten ~fill:'\xff' [ (2, "AB"); (6, "C") ] in
   Alcotest.(check string) "gap filled" "\xff\xffAB\xff\xffC" flat;
@@ -108,6 +262,13 @@ let test_preprocessed_hex_roundtrip () =
     img.symbols img'.Image.symbols;
   Helpers.assert_ok (Image.validate img')
 
+let test_preprocessed_hex_matches_oracle () =
+  let img = build_image () in
+  let blob = Symtab.to_blob (Symtab.meta_of_image img) in
+  Alcotest.(check string) "to_hex"
+    (Oracle.encode [ (Symtab.meta_base, blob); (0, img.Image.code) ])
+    (Symtab.to_hex img)
+
 let test_fingerprint_changes () =
   let img = build_image () in
   let r = Mavr_core.Randomize.randomize ~seed:3 img in
@@ -132,6 +293,8 @@ let () =
           Alcotest.test_case "multi segment" `Quick test_ihex_multi_segment;
           Alcotest.test_case "bad checksum" `Quick test_ihex_bad_checksum;
           Alcotest.test_case "missing EOF" `Quick test_ihex_missing_eof;
+          Alcotest.test_case "malformed records" `Quick test_ihex_malformed;
+          Alcotest.test_case "blank lines, CRLF, after EOF" `Quick test_ihex_lenient_layout;
           Alcotest.test_case "flatten" `Quick test_ihex_flatten;
         ] );
       ( "image",
@@ -146,6 +309,10 @@ let () =
           Alcotest.test_case "blob roundtrip" `Quick test_symtab_blob_roundtrip;
           Alcotest.test_case "bad magic" `Quick test_symtab_bad_magic;
           Alcotest.test_case "preprocessed hex roundtrip" `Quick test_preprocessed_hex_roundtrip;
+          Alcotest.test_case "preprocessed hex matches oracle" `Quick
+            test_preprocessed_hex_matches_oracle;
         ] );
-      ("properties", [ Helpers.qtest prop_ihex_roundtrip ]);
+      ( "properties",
+        List.map Helpers.qtest
+          [ prop_ihex_roundtrip; prop_encode_matches_oracle; prop_decode_maximal ] );
     ]
